@@ -1,18 +1,18 @@
 """Benchmark E9: vectorised batch replication vs the per-run engines.
 
 A Figure-1-scale sweep cell is R replications of one (protocol, k) point.
-The per-run path costs R Python-interpreted loops; the batch engines run all
-R in numpy lockstep — ``BatchFairEngine`` one ``Generator.random(R)`` draw
-per slot, ``BatchWindowEngine`` one multinomial occupancy matrix per
-contention window.  This benchmark measures the throughput of both paths
-through the *same* ``run_sweep(workers=1)`` entry point — so the numbers
-include the full dispatch/executor overhead a user actually pays — and
-writes the per-k trajectories to two artifacts:
+The per-run path costs R Python-interpreted loops; the batched engines run
+all R in numpy lockstep — ``MegaFairEngine`` one uniform per row per slot,
+``MegaWindowEngine`` one occupancy matrix per contention window.  This
+benchmark measures the throughput of both paths through the *same*
+``run_sweep(workers=1)`` entry point — so the numbers include the full
+dispatch/executor overhead a user actually pays — and writes the per-k
+trajectories to two artifacts:
 
 * ``BENCH_batch.json``        — One-Fail Adaptive (fair path): ``batch=False``
   per-run vs ``batch=True`` vectorised, per network size k;
 * ``BENCH_batch_window.json`` — Exp Back-on/Back-off (windowed path): per-run
-  ``WindowEngine`` vs vectorised ``BatchWindowEngine`` at k ∈ {256, 1024,
+  ``WindowEngine`` vs vectorised ``MegaWindowEngine`` at k ∈ {256, 1024,
   4096}.
 
 The smoke-marked subset (run by ``scripts/bench_smoke.sh``) checks both
@@ -33,8 +33,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_max_k, bench_runs
-from repro.core.exp_backon_backoff import ExpBackonBackoff
-from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
 
@@ -46,13 +44,11 @@ WINDOW_ARTIFACT_NAME = "BENCH_batch_window.json"
 
 
 def _ofa_spec() -> ProtocolSpec:
-    return ProtocolSpec(key="ofa", label="One-Fail Adaptive", factory=lambda k: OneFailAdaptive())
+    return ProtocolSpec(key="ofa", label="One-Fail Adaptive", spec="one-fail-adaptive")
 
 
 def _ebb_spec() -> ProtocolSpec:
-    return ProtocolSpec(
-        key="ebb", label="Exp Back-on/Back-off", factory=lambda k: ExpBackonBackoff()
-    )
+    return ProtocolSpec(key="ebb", label="Exp Back-on/Back-off", spec="exp-backon-backoff")
 
 
 def _timed_sweep(k: int, runs: int, batch: bool) -> tuple[float, list[int]]:
@@ -85,7 +81,7 @@ def test_batch_sweep_distributionally_matches_serial_smoke():
     config_serial = ExperimentConfig(k_values=[60], runs=runs, seed=4, batch=False)
     batch = run_sweep([_ofa_spec()], config_batch).cell("ofa", 60)
     serial = run_sweep([_ofa_spec()], config_serial).cell("ofa", 60)
-    assert all(result.engine == "batch" for result in batch.results)
+    assert all(result.engine == "mega" for result in batch.results)
     assert all(result.engine == "fair" for result in serial.results)
     batch_ms = np.asarray(batch.makespans, dtype=float)
     serial_ms = np.asarray(serial.makespans, dtype=float)
@@ -98,8 +94,8 @@ def test_batch_eligibility_routes_per_kind_smoke():
     """The registry routes each protocol kind to its own batch engine."""
     specs = [_ofa_spec(), _ebb_spec()]
     sweep = run_sweep(specs, ExperimentConfig(k_values=[40], runs=2, seed=5))
-    assert all(result.engine == "batch" for result in sweep.cell("ofa", 40).results)
-    assert all(result.engine == "batch-window" for result in sweep.cell("ebb", 40).results)
+    assert all(result.engine == "mega" for result in sweep.cell("ofa", 40).results)
+    assert all(result.engine == "mega-window" for result in sweep.cell("ebb", 40).results)
     sweep = run_sweep(specs, ExperimentConfig(k_values=[40], runs=2, seed=5, batch=False))
     assert all(result.engine == "fair" for result in sweep.cell("ofa", 40).results)
     assert all(result.engine == "window" for result in sweep.cell("ebb", 40).results)
@@ -113,7 +109,7 @@ def test_batch_window_sweep_distributionally_matches_serial_smoke():
     config_serial = ExperimentConfig(k_values=[60], runs=runs, seed=4, batch=False)
     batch = run_sweep([_ebb_spec()], config_batch).cell("ebb", 60)
     serial = run_sweep([_ebb_spec()], config_serial).cell("ebb", 60)
-    assert all(result.engine == "batch-window" for result in batch.results)
+    assert all(result.engine == "mega-window" for result in batch.results)
     assert all(result.engine == "window" for result in serial.results)
     batch_ms = np.asarray(batch.makespans, dtype=float)
     serial_ms = np.asarray(serial.makespans, dtype=float)
@@ -169,7 +165,7 @@ def test_batch_speedup_trajectory(results_dir):
         "benchmark": "batch_engine_speedup",
         "protocol": "one-fail-adaptive",
         "engine_serial": "fair",
-        "engine_batch": "batch",
+        "engine_batch": "mega",
         "workers": 1,
         "trajectory": trajectory,
     }
@@ -185,7 +181,7 @@ def test_batch_speedup_trajectory(results_dir):
 
 
 def test_batch_window_speedup_trajectory(results_dir):
-    """Throughput serial vs batch-window per k, written to BENCH_batch_window.json.
+    """Throughput serial vs batched per k, written to BENCH_batch_window.json.
 
     The acceptance bar: a Figure-1-scale windowed cell (k ≥ 256 with R ≥ 100
     replications) must run ≥ 5× faster batched than serial at ``workers=1``,
@@ -232,7 +228,7 @@ def test_batch_window_speedup_trajectory(results_dir):
         "benchmark": "batch_window_engine_speedup",
         "protocol": "exp-backon-backoff",
         "engine_serial": "window",
-        "engine_batch": "batch-window",
+        "engine_batch": "mega-window",
         "workers": 1,
         "trajectory": trajectory,
     }
@@ -244,6 +240,6 @@ def test_batch_window_speedup_trajectory(results_dir):
         for entry in figure1_scale:
             floor = 5.0 if entry["k"] <= 1024 else 3.5
             assert entry["speedup"] >= floor, (
-                f"expected >={floor}x batch-window speedup at k={entry['k']}, "
+                f"expected >={floor}x windowed batch speedup at k={entry['k']}, "
                 f"got {entry['speedup']}x"
             )

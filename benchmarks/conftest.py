@@ -1,9 +1,11 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one artefact of the paper's evaluation (see the
-per-experiment index in DESIGN.md).  Scale is controlled by environment
-variables so the default run finishes in a few minutes on one CPU while the
-full paper range remains reachable:
+Every benchmark regenerates one artefact of the paper's evaluation or of the
+system around it (see "Tests and benchmarks" in README.md for the index of
+artefacts; the end-to-end benchmark with its bounds is described in
+``perfbench/README.md``).  Scale is controlled by environment variables so
+the default run finishes in a few minutes on one CPU while the full paper
+range remains reachable:
 
 * ``REPRO_BENCH_MAX_K``  — largest network size swept (default 10_000;
   the paper goes to 10_000_000).
@@ -12,8 +14,8 @@ full paper range remains reachable:
 
 Each benchmark writes the table/figure it reproduces to
 ``benchmark_results/`` at the repository root, so the numbers quoted in
-EXPERIMENTS.md can be regenerated with a single ``pytest benchmarks/
---benchmark-only`` invocation.
+README.md can be regenerated with a single ``pytest benchmarks/``
+invocation.
 """
 
 from __future__ import annotations

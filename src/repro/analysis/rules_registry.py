@@ -14,11 +14,12 @@ a registry actually is, with a conforming declaration:
 * ``REG003`` — every registered store backend is concrete and implements
   the full :class:`~repro.scenarios.store.StoreBackend` ABC with
   call-compatible signatures.
-* ``REG004`` — every registered protocol that declares a per-cell batch
-  kernel also declares the per-row hooks the cross-cell mega-batch engines
-  need (``make_fused_batch_state`` for fair kernels,
-  ``fused_schedule_key`` for windowed ones), so a protocol cannot silently
-  fall out of sweep fusion.
+* ``REG004`` — every registered windowed protocol that declares a shared
+  window schedule (``make_window_batch_state``) also declares the schedule
+  identity the windowed batched engine fuses on (``fused_schedule_key``),
+  so a protocol cannot silently fall out of sweep fusion.  (Fair protocols
+  have a single batch hook, ``make_fused_batch_state``, so there is no
+  pair to keep in step.)
 
 Unlike the AST rules these import :mod:`repro` and inspect the live
 registries, so a declaration that parses but lies (an engine that forgot to
@@ -255,15 +256,14 @@ class StoreContractRule(_ImportContractRule):
 
 @register_rule
 class FusedKernelContractRule(_ImportContractRule):
-    """Protocols with a batch kernel also declare the per-row fusion hooks."""
+    """Windowed protocols with a shared schedule also declare its identity."""
 
     id = "REG004"
     name = "fused-kernel-contract"
     description = (
-        "every registered protocol declaring a per-cell batch kernel "
-        "(make_batch_state / make_window_batch_state) also provides the "
-        "per-row hooks the mega-batch engines fuse on "
-        "(make_fused_batch_state / fused_schedule_key)"
+        "every registered windowed protocol declaring a shared window schedule "
+        "(make_window_batch_state) also provides the schedule identity the "
+        "windowed batched engine fuses on (fused_schedule_key)"
     )
 
     #: Contention size used for the probe instances (mirrors REG002).
@@ -282,25 +282,7 @@ class FusedKernelContractRule(_ImportContractRule):
             except Exception:  # noqa: BLE001 - REG002 reports broken round-trips
                 continue
             kind = getattr(instance, "protocol_kind", "generic")
-            if kind == "fair" and instance.make_batch_state(1) is not None:
-                try:
-                    fused = type(instance).make_fused_batch_state([instance.spawn()], [1])
-                except Exception as error:  # noqa: BLE001 - any failure is the finding
-                    yield Finding(
-                        path, line, self.id,
-                        f"protocol {name!r} ({cls.__name__}) declares a fair batch "
-                        f"kernel but make_fused_batch_state raises "
-                        f"{type(error).__name__}: {error}",
-                    )
-                    continue
-                if fused is None:
-                    yield Finding(
-                        path, line, self.id,
-                        f"protocol {name!r} ({cls.__name__}) declares a fair batch "
-                        "kernel (make_batch_state) without the per-row "
-                        "make_fused_batch_state hook — its cells cannot fuse",
-                    )
-            elif kind == "windowed" and instance.make_window_batch_state(1) is not None:
+            if kind == "windowed" and instance.make_window_batch_state(1) is not None:
                 try:
                     key = instance.fused_schedule_key()
                 except Exception as error:  # noqa: BLE001 - any failure is the finding

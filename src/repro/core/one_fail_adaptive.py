@@ -246,9 +246,6 @@ class OneFailAdaptive(FairProtocol):
                 # Line 18: κ̃ ← max{κ̃ − δ − 1, δ + 1}.
                 self._kappa_estimate = max(self._kappa_estimate - self.delta - 1.0, floor)
 
-    def make_batch_state(self, reps: int) -> _OneFailBatchState:
-        return _OneFailBatchState(np.full(reps, self.delta))
-
     @classmethod
     def make_fused_batch_state(
         cls,

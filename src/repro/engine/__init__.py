@@ -1,6 +1,6 @@
 """Simulation engines and the capability registry that picks between them.
 
-Seven engines produce makespan samples of the *same* stochastic process — the
+Five engines produce makespan samples of the *same* stochastic process — the
 paper's channel model — at very different costs.  Which engine serves which
 request is not hard-coded anywhere: every engine class declares an
 :class:`~repro.engine.registry.EngineCapabilities` record (the protocol
@@ -36,80 +36,55 @@ chooses it.
   balls-in-bins experiment.  **Cost:** O(window) numpy work per window (runs
   with k = 10⁷ take seconds).  **Picked when:** ``engine="auto"`` for a
   windowed protocol on the paper's channel.
-* :class:`~repro.engine.batch_engine.BatchFairEngine` — **declares:** kind
-  ``"fair"``, the paper's channel, *batched* (no traces, no arrivals).  On
-  top of the declared capabilities, its ``supports`` hook requires the
-  protocol to expose vectorised state via
-  :meth:`~repro.protocols.base.FairProtocol.make_batch_state`; protocols
-  additionally declaring
+* :class:`~repro.engine.megabatch.MegaFairEngine` (``"mega"``) — the
+  batched engine for fair protocols.  **Declares:** kind ``"fair"``, the
+  paper's channel, *batched* (no traces, no arrivals).  Its ``supports``
+  hook requires the per-row
+  :meth:`~repro.protocols.base.FairProtocol.make_fused_batch_state` kernel.
+  It stacks **all fair cells of a sweep that share one protocol class** —
+  every k, every parameterisation — into a single padded lockstep kernel
+  with per-row parameters and per-row retirement; protocols declaring
   :attr:`~repro.protocols.base.FairProtocol.probability_constant_between_receptions`
-  get geometric silence-run skipping.  **Cost:** one vectorised slot step
-  for all R replications of a sweep cell at once.
-* :class:`~repro.engine.batch_window_engine.BatchWindowEngine` —
-  **declares:** kind ``"windowed"``, the paper's channel, *batched* (no
-  traces, no arrivals).  Its ``supports`` hook requires a shared schedule
-  via
-  :meth:`~repro.protocols.base.WindowedProtocol.make_window_batch_state`
-  (i.e. a feedback-oblivious window schedule — Exp Back-on/Back-off and the
-  whole monotone back-off family qualify).  **Cost:** one multinomial
-  occupancy matrix per contention window covering all R live replications,
-  with finished replications retired.
-* :class:`~repro.engine.megabatch.MegaFairEngine` (``"mega"``) —
-  **declares:** kind ``"fair"``, the paper's channel, batched *and*
-  ``fuses_cells``: it stacks **all fair cells of a sweep that share one
-  protocol class** — every k, every parameterisation — into a single padded
-  lockstep kernel with per-row parameters and per-row retirement.  Its
-  ``supports`` hook requires the per-row
-  :meth:`~repro.protocols.base.FairProtocol.make_fused_batch_state` hook
-  and *excludes* protocols declaring
-  ``probability_constant_between_receptions`` (slotted ALOHA), for which
-  ``BatchFairEngine``'s geometric silence skipping beats any lockstep pass.
-  **Cost:** one kernel traversal of the whole group's *global* maximum
-  makespan, instead of one per-cell traversal each.
+  (slotted ALOHA) instead run cell by cell with geometric silence-run
+  skipping.  **Cost:** one kernel traversal of the whole group's *global*
+  maximum makespan, instead of one traversal per cell.
 * :class:`~repro.engine.megabatch.MegaWindowEngine` (``"mega-window"``) —
-  the same for windowed cells: all cells sharing one window schedule
-  (equal :meth:`~repro.protocols.base.WindowedProtocol.fused_schedule_key`)
-  iterate the schedule in lockstep, with each cell's occupancy sampled from
-  its own stream exactly as ``BatchWindowEngine`` would — fused windowed
-  results are bit-identical per cell to the per-cell batch engine.
+  the batched engine for windowed protocols.  **Declares:** kind
+  ``"windowed"``, the paper's channel, *batched*.  Its ``supports`` hook
+  requires a shared, feedback-oblivious schedule
+  (:meth:`~repro.protocols.base.WindowedProtocol.make_window_batch_state`)
+  with a declared identity
+  (:meth:`~repro.protocols.base.WindowedProtocol.fused_schedule_key`) —
+  Exp Back-on/Back-off and the whole monotone back-off family qualify.  All
+  cells sharing one schedule iterate it in lockstep, each window's
+  occupancy sampled per cell from the cell's own stream.
 
 Batched engines are never chosen by ``engine="auto"`` for single runs; they
-serve whole cells.  :func:`repro.experiments.runner.run_sweep` and the
-scenario :class:`~repro.scenarios.session.Session` group a cell's seeds into
-one :func:`simulate_batch` call whenever the registry's
-:func:`~repro.engine.registry.batch_engine_for` — the repository's **one**
-batch-eligibility predicate — reports an eligible engine (default; disable
-with ``batch=False`` / ``--no-batch``), and batch runs can also be requested
-explicitly via ``engine="batch"`` / ``engine="batch-window"``.  Batched runs
-are **distributionally identical but not bit-identical** to their per-run
-counterparts: the whole batch consumes one random stream derived from the
-full seed tuple, so the i-th replication's draws interleave with its
-siblings'.  The parity (same makespan mean and quantiles within sampling
-tolerance, same solved rate at a binding cap) is pinned by
+serve whole cells.  The scenario :class:`~repro.scenarios.session.Session`
+(and therefore ``run_sweep``, Figure 1 and Table 1) groups every
+batch-eligible cell of a grid by fuse key and executes each group as **one**
+:func:`simulate_megabatch` kernel pass — the default; disable with
+``batch=False`` / ``--no-batch``.  Eligibility is the registry's
+:func:`~repro.engine.registry.batch_engine_for`, the repository's **one**
+batch-eligibility predicate; batched runs can also be requested explicitly
+via ``engine="mega"`` / ``engine="mega-window"``.  Batched runs are
+**distributionally identical but not bit-identical** to their per-run
+counterparts: each cell consumes one random stream derived from its full
+seed tuple, so the i-th replication's draws interleave with its siblings'.
+The parity (same makespan mean and quantiles within sampling tolerance, same
+solved rate at a binding cap) is pinned by
 ``tests/engine/test_batch_engine.py`` and
-``tests/engine/test_batch_window_engine.py``.
-
-*Fusing* engines go one step further: the scenario
-:class:`~repro.scenarios.session.Session` (and therefore ``run_sweep``,
-Figure 1 and Table 1) groups every fusable cell of a grid by fuse key and
-executes each group as **one** :func:`simulate_megabatch` kernel pass — the
-default; disable with ``fuse=False`` / ``--no-fuse``.  Eligibility is the
-registry's :func:`~repro.engine.registry.fused_engine_for`.  Fused fair
-results are distributionally identical but not bit-identical to
-``BatchFairEngine``'s (pinned by ``tests/engine/test_megabatch.py``); each
-*cell* consumes its own seed-derived stream in composition-independent
-chunks, so a cell's fused results never depend on which siblings it was
-fused with — resumed sweeps that re-fuse only the missing cells are
-bit-identical to fresh ones.  Fusion is skipped (falling back to per-cell
-batching or per-run execution) for: single-run ``engine="auto"`` calls,
-``batch=False`` sessions, explicit non-mega engine selectors, non-default
-channels, arrival processes, constant-probability protocols (slotted
-ALOHA), and factory-only sweep cells on the legacy runner path.
+``tests/engine/test_batch_window_engine.py``.  A cell's stream never depends
+on which siblings it was fused with, so resumed sweeps that re-fuse only the
+missing cells are bit-identical to fresh ones
+(``tests/engine/test_megabatch.py``).  Batching is skipped (falling back to
+per-run execution) for: single-run ``engine="auto"`` calls, ``batch=False``
+sessions, explicit per-run engine selectors, non-default channels and
+arrival processes.
 
 :func:`simulate` dispatches a single run to the cheapest capable engine,
-:func:`simulate_batch` runs a whole cell through the eligible batch engine,
-:func:`simulate_megabatch` runs a whole fused group through the eligible
-mega engine, and :mod:`repro.engine.validation` provides the statistical
+:func:`simulate_batch` runs a whole cell through the eligible batched engine,
+:func:`simulate_megabatch` runs a whole fused group through it, and :mod:`repro.engine.validation` provides the statistical
 cross-checks used by the test suite and the engine ablation benchmark.
 """
 
@@ -121,14 +96,11 @@ from repro.engine.registry import (
     available_engines,
     batch_engine_for,
     engine_capabilities,
-    fused_engine_for,
 )
 from repro.engine.result import SimulationResult
 from repro.engine.slot_engine import SlotEngine
 from repro.engine.fair_engine import FairEngine
 from repro.engine.window_engine import WindowEngine
-from repro.engine.batch_engine import BatchFairEngine
-from repro.engine.batch_window_engine import BatchWindowEngine
 from repro.engine.megabatch import FusedCell, MegaFairEngine, MegaWindowEngine
 from repro.engine.dispatch import pick_engine, simulate, simulate_batch, simulate_megabatch
 from repro.engine.validation import compare_engines, makespan_samples
@@ -138,8 +110,6 @@ __all__ = [
     "SlotEngine",
     "FairEngine",
     "WindowEngine",
-    "BatchFairEngine",
-    "BatchWindowEngine",
     "MegaFairEngine",
     "MegaWindowEngine",
     "FusedCell",
@@ -152,7 +122,6 @@ __all__ = [
     "available_engines",
     "batch_engine_for",
     "engine_capabilities",
-    "fused_engine_for",
     "compare_engines",
     "makespan_samples",
 ]

@@ -28,9 +28,7 @@ from repro.channel.model import ChannelModel
 from repro.channel.trace import ExecutionTrace
 
 # Importing the engine modules registers each engine with the registry.
-from repro.engine.batch_engine import BatchFairEngine  # noqa: F401  (registration)
-from repro.engine.batch_window_engine import BatchWindowEngine  # noqa: F401
-from repro.engine.fair_engine import FairEngine  # noqa: F401
+from repro.engine.fair_engine import FairEngine  # noqa: F401  (registration)
 from repro.engine.megabatch import FusedCell, MegaFairEngine, MegaWindowEngine  # noqa: F401
 from repro.engine.registry import (
     available_engines,
@@ -38,7 +36,6 @@ from repro.engine.registry import (
     engine_capabilities,
     engine_class,
     engines_for,
-    fused_engine_for,
     pick_engine_name,
 )
 from repro.engine.result import SimulationResult
@@ -51,7 +48,6 @@ __all__ = [
     "available_engines",
     "batch_engine_for",
     "engine_capabilities",
-    "fused_engine_for",
     "pick_engine",
     "simulate",
     "simulate_batch",
@@ -99,11 +95,11 @@ def pick_engine(
 
     ``"auto"`` never selects a *batched* engine: for a single run the batch
     reduction has nothing to vectorise, and only the per-run engines collect
-    traces.  Sweeps are where batching pays off —
-    :func:`repro.experiments.runner.run_sweep` groups a cell's replications
-    into one :func:`simulate_batch` call whenever
-    :func:`~repro.engine.registry.batch_engine_for` reports an eligible
-    batch engine.
+    traces.  Sweeps are where batching pays off — the scenario
+    :class:`~repro.scenarios.session.Session` stacks every eligible cell of
+    a grid into one :func:`simulate_megabatch` call per group whenever
+    :func:`~repro.engine.registry.batch_engine_for` reports a batched
+    engine.
 
     Explicit choices are validated against the registry: an unknown name, an
     engine that cannot serve the requested channel or arrival process, or an
@@ -161,6 +157,28 @@ def simulate(
     return result
 
 
+def _batched_engine_name(protocol: Protocol, engine: str, channel: ChannelModel | None) -> str:
+    """Resolve ``engine`` to the batched engine serving ``protocol``, or raise."""
+    name = batch_engine_for(protocol, engine=engine, channel=channel)
+    if name is not None:
+        return name
+    # Diagnose precisely: an unknown or per-run selector is a selector
+    # problem, not a missing kernel.  engine_capabilities raises the
+    # enumerating unknown-engine error for typos.
+    if engine != "auto" and not engine_capabilities(engine).batched:
+        raise ValueError(
+            f"engine {engine!r} is not a batched engine; batched engines: "
+            f"{engines_for(batched=True)} (or 'auto')"
+        )
+    raise ValueError(
+        f"no batch engine can serve {type(protocol).__name__} "
+        f"(kind {getattr(protocol, 'protocol_kind', 'generic')!r}) with "
+        f"engine={engine!r} and channel={channel!r}; batch-eligible protocols "
+        "declare per-row kernels via make_fused_batch_state / "
+        "make_window_batch_state and run on the paper's channel"
+    )
+
+
 def simulate_batch(
     protocol: Protocol,
     k: int,
@@ -171,32 +189,16 @@ def simulate_batch(
 ) -> list[SimulationResult]:
     """Simulate many replications of one (protocol, k) cell in a single batch.
 
-    Front door to the *batched* engines for callers holding a whole cell's
-    seeds (the sweep runner, benchmarks).  The registry's
-    :func:`~repro.engine.registry.batch_engine_for` — the repository's one
-    batch-eligibility predicate — selects the batch engine that can serve
-    the cell (``BatchFairEngine`` for fair protocols,
-    ``BatchWindowEngine`` for windowed ones); callers that need a silent
-    fallback check eligibility with the same query first and route
-    ineligible cells through per-run :func:`simulate` calls.
+    Front door to the *batched* engines for callers holding one cell's seeds
+    (benchmarks, the README quickstart): a fused group of exactly one cell.
+    The registry's :func:`~repro.engine.registry.batch_engine_for` — the
+    repository's one batch-eligibility predicate — selects the engine
+    (``MegaFairEngine`` for fair protocols, ``MegaWindowEngine`` for
+    windowed ones); callers that need a silent fallback check eligibility
+    with the same query first and route ineligible cells through per-run
+    :func:`simulate` calls.
     """
-    name = batch_engine_for(protocol, engine=engine, channel=channel)
-    if name is None:
-        # Diagnose precisely: an unknown or per-run selector is a selector
-        # problem, not a missing kernel.  engine_capabilities raises the
-        # enumerating unknown-engine error for typos.
-        if engine != "auto" and not engine_capabilities(engine).batched:
-            raise ValueError(
-                f"engine {engine!r} is not a batched engine; batched engines: "
-                f"{engines_for(batched=True)} (or 'auto')"
-            )
-        raise ValueError(
-            f"no batch engine can serve {type(protocol).__name__} "
-            f"(kind {getattr(protocol, 'protocol_kind', 'generic')!r}) with "
-            f"engine={engine!r} and channel={channel!r}; batch-eligible protocols "
-            "declare a vectorised kernel via make_batch_state / "
-            "make_window_batch_state and run on the paper's channel"
-        )
+    name = _batched_engine_name(protocol, engine, channel)
     chosen = _instantiate(name, channel)
     with span("engine.batch", engine=name, k=k, replications=len(seeds)):
         results = chosen.simulate_batch(protocol, k, seeds, max_slots=max_slots)
@@ -213,7 +215,7 @@ def simulate_megabatch(
 ) -> list[list[SimulationResult]]:
     """Simulate a whole group of fused (protocol, k) cells in one kernel pass.
 
-    Front door to the *fusing* engines for callers holding an entire sweep
+    Front door to the *batched* engines for callers holding an entire sweep
     group (the session planner, benchmarks): every cell's replications enter
     one padded lockstep kernel and retire row by row, so the group costs one
     kernel traversal of the global maximum makespan instead of one per cell.
@@ -221,10 +223,10 @@ def simulate_megabatch(
     All cells must share one fuse key (same protocol class for fair cells,
     same window schedule for windowed ones) — the engine rejects mixed
     groups.  Eligibility is resolved through the registry's
-    :func:`~repro.engine.registry.fused_engine_for` predicate against the
+    :func:`~repro.engine.registry.batch_engine_for` predicate against the
     first cell's protocol; callers needing a silent fallback check the same
-    query first and route unfusable cells through :func:`simulate_batch` or
-    per-run :func:`simulate` calls.  Returns one result list per cell, in
+    query first and route ineligible cells through per-run :func:`simulate`
+    calls.  Returns one result list per cell, in
     input order; each cell's results are independent of the group's
     composition, so re-fusing a subset (e.g. on sweep resume) reproduces the
     original results bit for bit.
@@ -232,20 +234,7 @@ def simulate_megabatch(
     if not cells:
         raise ValueError("simulate_megabatch needs at least one fused cell")
     protocol = cells[0].protocol
-    name = fused_engine_for(protocol, engine=engine, channel=channel)
-    if name is None:
-        if engine != "auto" and not engine_capabilities(engine).fuses_cells:
-            raise ValueError(
-                f"engine {engine!r} is not a fusing engine; fusing engines: "
-                f"{engines_for(fuses_cells=True)} (or 'auto')"
-            )
-        raise ValueError(
-            f"no fusing engine can serve {type(protocol).__name__} "
-            f"(kind {getattr(protocol, 'protocol_kind', 'generic')!r}) with "
-            f"engine={engine!r} and channel={channel!r}; fusable protocols "
-            "declare per-row kernels via make_fused_batch_state / "
-            "fused_schedule_key and run on the paper's channel"
-        )
+    name = _batched_engine_name(protocol, engine, channel)
     chosen = _instantiate(name, channel)
     replications = sum(len(cell.seeds) for cell in cells)
     with span("engine.megabatch", engine=name, cells=len(cells), replications=replications):

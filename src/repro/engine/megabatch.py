@@ -1,12 +1,8 @@
-"""Cross-cell mega-batch engines: one fused kernel per sweep, not per cell.
+"""The batched engines: one fused kernel per sweep group, not per cell.
 
-:class:`~repro.engine.batch_engine.BatchFairEngine` and
-:class:`~repro.engine.batch_window_engine.BatchWindowEngine` vectorise the R
-replications *within* one (protocol, k) cell, but a Figure-1 sweep still
-executes its cells one kernel launch at a time — the per-cell wins are
-serialized across the k-grid × protocol family, and every cell pays the full
-makespan of its own slowest replication.  The engines here fuse **all
-same-kind cells of a sweep into a single padded numpy lockstep kernel**:
+A Figure-1 sweep is a grid of (protocol, k) cells, each with R replications.
+The engines here run **all same-kind cells of a sweep as one padded numpy
+lockstep kernel**:
 
 * rows of the batch are cell × replication, with a row → cell index map;
 * protocol parameters, the network size ``k`` and the ``max_slots`` cap are
@@ -18,28 +14,36 @@ same-kind cells of a sweep into a single padded numpy lockstep kernel**:
   the *global* maximum makespan of the group instead of the sum of per-cell
   maxima.
 
+A single cell is simply a group of one (``simulate_batch``).  Fair protocols
+declaring
+:attr:`~repro.protocols.base.FairProtocol.probability_constant_between_receptions`
+(slotted ALOHA) take a per-cell path instead of the lockstep pass: between
+two receptions their slot outcomes are i.i.d., so every silent stretch is
+sampled geometrically and only the non-silent slots are visited.
+
 Randomness and resumability
 ---------------------------
-Each fused cell consumes its **own** random stream, seeded exactly like the
-per-cell batch engines (``SeedSequence(cell.seeds)``).  The fair kernel
-pre-draws each cell's uniforms in fixed-size chunks at absolute slot
-boundaries (:data:`_CHUNK`); a cell's draw count per chunk depends only on
-its *own* live-row trajectory, so a cell's fused results are **bit-identical
-no matter which group it is fused into** — alone, with any siblings, or
-re-fused by a resumed sweep that only re-runs the missing cells.  Fused fair
-results are *not* bit-identical to :class:`BatchFairEngine` (a different —
-distributionally identical — sampling of the same process, pinned by
-``tests/engine/test_megabatch.py``); fused *windowed* results consume their
-per-cell streams in exactly the order :class:`BatchWindowEngine` does and
-are therefore bit-identical to it per cell.
+Each cell consumes its **own** random stream, ``SeedSequence(cell.seeds)``.
+The fair lockstep kernel pre-draws each cell's uniforms in fixed-size chunks
+at absolute slot boundaries (:data:`_CHUNK`); a cell's draw count per chunk
+depends only on its *own* live-row trajectory, so a cell's fused results are
+**bit-identical no matter which group it is fused into** — alone, with any
+siblings, or re-fused by a resumed sweep that only re-runs the missing
+cells.  The silence-skipping path and the windowed kernel draw per cell in
+cell order, so they are composition-independent as well.  Batched runs are
+distributionally identical — not bit-identical — to the per-run engines'
+(pinned by ``tests/engine/test_batch_engine.py``,
+``tests/engine/test_batch_window_engine.py`` and
+``tests/engine/test_megabatch.py``).
 
 Fusion is planned by the scenario layer (:class:`~repro.scenarios.session.Session`
-groups fusable cells by the engines' ``fuse_key`` hook) and executed through
+groups cells by the engines' ``fuse_key`` hook) and executed through
 :func:`repro.engine.dispatch.simulate_megabatch`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -47,12 +51,10 @@ import numpy as np
 
 from repro.channel.model import ChannelModel
 from repro.channel.trace import ExecutionTrace
-from repro.engine.batch_engine import _BatchAccumulator
-from repro.engine.batch_window_engine import BatchWindowEngine, _LiveWindowBatch, _WindowBatchAccumulator
 from repro.engine.registry import EngineCapabilities, check_engine_channel, register_engine
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
-from repro.protocols.base import FairProtocol, Protocol, WindowedProtocol
+from repro.protocols.base import FairBatchState, FairProtocol, Protocol, WindowedProtocol
 from repro.util.validation import check_positive_int
 
 __all__ = ["FusedCell", "MegaFairEngine", "MegaWindowEngine"]
@@ -88,6 +90,41 @@ _M_CELLS = REGISTRY.counter(
 #: The value must stay constant for that guarantee to hold across runs.
 _CHUNK = 1024
 
+#: Which sampler produced each window's occupancy: ``saturated`` windows are
+#: emitted without any draws, ``multinomial`` rows are sampled bin-wise, and
+#: ``ball-throw`` windows materialise every ball.  One increment per window
+#: (or per row chunk), never per slot — zero-cost when recording is disabled.
+_M_OCCUPANCY = REGISTRY.counter(
+    "repro_batch_window_occupancy_total",
+    "Occupancy-sampling decisions in the windowed batch engine, by mode.",
+    ("mode",),
+)
+_M_SATURATED = _M_OCCUPANCY.labels(mode="saturated")
+
+#: Threshold under which a window is all-collisions "for sure": a window is
+#: *saturated* when the exact union bound ``P(any bin holds <= 1 ball) <=
+#: w [(1-1/w)^m + (m/w)(1-1/w)^{m-1}]`` evaluates below this — one power of
+#: two under ``2^{-53}``, so even with the bound's own float rounding the
+#: event probability is beneath the resolution of the double-precision
+#: uniforms every sampler consumes, and emitting the certain all-collisions
+#: outcome is indistinguishable from sampling it.
+_SATURATED_BOUND = 2.0**-54
+
+#: Saturation ratio above which sampling the occupancy row directly from the
+#: multinomial distribution (O(w) binomial draws per replication) is cheaper
+#: than throwing the ``m`` balls explicitly (O(m) uniform draws).  Below the
+#: ratio the binomial sampler degrades to O(m/w) per bin anyway, so balls win.
+_MULTINOMIAL_RATIO = 22
+
+#: Cap on per-chunk work: both the occupancy matrix (replication rows ×
+#: window slots) and the ball-throw scratch arrays (rows × remaining
+#: messages) are kept at or under this many entries, so the engine's memory
+#: stays bounded (~64 MB of int64 per chunk) at the paper's Figure-1 right
+#: edge (k = 10⁷) instead of scaling with R × w or R × k.  Chunk boundaries
+#: are a deterministic function of the live batch, so same-seed runs stay
+#: bit-identical.
+_MAX_WINDOW_CELLS = 1 << 23
+
 
 @dataclass(frozen=True)
 class FusedCell:
@@ -115,6 +152,238 @@ class FusedCell:
 def _check_cells(cells: Sequence[FusedCell], engine_name: str) -> None:
     if not cells:
         raise ValueError(f"{engine_name}.simulate_fused needs at least one cell")
+
+
+@dataclass
+class _BatchAccumulator:
+    """Final per-replication statistics, indexed by the original batch slot."""
+
+    solved: np.ndarray
+    makespan: np.ndarray
+    slots: np.ndarray
+    successes: np.ndarray
+    collisions: np.ndarray
+    silences: np.ndarray
+
+    @classmethod
+    def empty(cls, reps: int) -> "_BatchAccumulator":
+        return cls(
+            solved=np.zeros(reps, dtype=bool),
+            makespan=np.zeros(reps, dtype=np.int64),
+            slots=np.zeros(reps, dtype=np.int64),
+            successes=np.zeros(reps, dtype=np.int64),
+            collisions=np.zeros(reps, dtype=np.int64),
+            silences=np.zeros(reps, dtype=np.int64),
+        )
+
+
+class _LiveBatch:
+    """The still-running replications of one cell: counters plus the protocol state.
+
+    ``offset`` is the cell's first row in the group's accumulator.
+    """
+
+    def __init__(self, k: int, reps: int, state: FairBatchState, offset: int = 0) -> None:
+        self.orig = np.arange(offset, offset + reps)
+        self.remaining = np.full(reps, k, dtype=np.int64)
+        self.successes = np.zeros(reps, dtype=np.int64)
+        self.collisions = np.zeros(reps, dtype=np.int64)
+        self.silences = np.zeros(reps, dtype=np.int64)
+        self.slots = np.zeros(reps, dtype=np.int64)
+        self.state = state
+
+    @property
+    def size(self) -> int:
+        return int(self.orig.size)
+
+    def retire(self, mask: np.ndarray, out: _BatchAccumulator, solved: bool) -> None:
+        """Write final stats for the masked replications and drop them."""
+        idx = self.orig[mask]
+        out.solved[idx] = solved
+        out.makespan[idx] = self.slots[mask] if solved else 0
+        out.slots[idx] = self.slots[mask]
+        out.successes[idx] = self.successes[mask]
+        out.collisions[idx] = self.collisions[mask]
+        out.silences[idx] = self.silences[mask]
+        keep = ~mask
+        self.orig = self.orig[keep]
+        self.remaining = self.remaining[keep]
+        self.successes = self.successes[keep]
+        self.collisions = self.collisions[keep]
+        self.silences = self.silences[keep]
+        self.slots = self.slots[keep]
+        self.state.compact(keep)
+
+
+def _outcome_probabilities(
+    p: np.ndarray, remaining: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replication ``(P(success), P(silence))`` for transmission prob ``p``.
+
+    Mirrors the scalar piecewise cases of :class:`FairEngine`: ``p <= 0`` makes
+    every slot silent, ``p >= 1`` succeeds only with a single station left.
+    """
+    interior = (p > 0.0) & (p < 1.0)
+    if interior.all():
+        q = 1.0 - p
+        q_pow = q ** (remaining - 1)
+        return remaining * p * q_pow, q_pow * q
+    q = np.where(interior, 1.0 - p, 0.5)  # placeholder base keeps ** finite
+    q_pow = q ** (remaining - 1)
+    probability_success = np.where(interior, remaining * p * q_pow, 0.0)
+    probability_silence = np.where(interior, q_pow * q, 0.0)
+    probability_silence = np.where(p <= 0.0, 1.0, probability_silence)
+    probability_success = np.where(p >= 1.0, (remaining == 1).astype(float), probability_success)
+    return probability_success, probability_silence
+
+
+def _run_skipping(
+    live: _LiveBatch,
+    out: _BatchAccumulator,
+    cap: int,
+    rng: np.random.Generator,
+) -> int:
+    """Event-by-event loop for slot-independent probabilities.
+
+    Each iteration advances every live replication past one silent stretch
+    (sampled geometrically) to its next non-silent slot and resolves that
+    slot as a success or collision.  Replications may sit at different
+    slot indices; the contract flag guarantees that is unobservable.
+    Returns the number of loop iterations (events resolved).
+    """
+    events = 0
+    while live.size:
+        events += 1
+        p = live.state.probabilities(-1)
+        probability_success, probability_silence = _outcome_probabilities(p, live.remaining)
+
+        # Replications that can never progress (p == 0) burn silently to
+        # the cap in one step.
+        stuck = probability_silence >= 1.0
+        if stuck.any():
+            live.silences[stuck] += cap - live.slots[stuck]
+            live.slots[stuck] = cap
+            live.retire(stuck, out, solved=False)
+            if not live.size:
+                break
+            keep = ~stuck
+            probability_success = probability_success[keep]
+            probability_silence = probability_silence[keep]
+
+        # Length of the silent stretch before the next non-silent slot:
+        # P(gap >= j) = P(silence)^j, sampled by inversion.
+        draw = rng.random(live.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.floor(np.log(draw) / np.log(probability_silence))
+        gap = np.where(probability_silence <= 0.0, 0.0, gap)
+        allowed = (cap - live.slots).astype(float)
+        hits_cap = ~(gap < allowed)  # catches inf/nan from log(0) corners
+        stretch = np.where(hits_cap, allowed, gap).astype(np.int64)
+        live.silences += stretch
+        live.slots += stretch
+        if hits_cap.any():
+            live.retire(hits_cap, out, solved=False)
+            if not live.size:
+                break
+            keep = ~hits_cap
+            probability_success = probability_success[keep]
+            probability_silence = probability_silence[keep]
+
+        # The non-silent slot itself: success vs collision, conditioned on
+        # the slot not being silent.
+        non_silent = 1.0 - probability_silence
+        decisive = rng.random(live.size)
+        success = decisive * non_silent < probability_success
+        live.successes += success
+        live.collisions += ~success
+        live.remaining -= success
+        live.state.observe_receptions(-1, success)
+        live.slots += 1
+        finished = live.remaining == 0
+        if finished.any():
+            live.retire(finished, out, solved=True)
+            if not live.size:
+                break
+        capped = live.slots >= cap
+        if capped.any():
+            live.retire(capped, out, solved=False)
+    return events
+
+
+@dataclass
+class _WindowBatchAccumulator:
+    """Final per-replication statistics, indexed by the original batch slot."""
+
+    solved: np.ndarray
+    makespan: np.ndarray
+    slots: np.ndarray
+    successes: np.ndarray
+    collisions: np.ndarray
+    silences: np.ndarray
+    windows: np.ndarray
+
+    @classmethod
+    def empty(cls, reps: int) -> "_WindowBatchAccumulator":
+        return cls(
+            solved=np.zeros(reps, dtype=bool),
+            makespan=np.zeros(reps, dtype=np.int64),
+            slots=np.zeros(reps, dtype=np.int64),
+            successes=np.zeros(reps, dtype=np.int64),
+            collisions=np.zeros(reps, dtype=np.int64),
+            silences=np.zeros(reps, dtype=np.int64),
+            windows=np.zeros(reps, dtype=np.int64),
+        )
+
+
+class _LiveWindowBatch:
+    """The still-running replications: per-replication counters.
+
+    Unlike the fair batch there is no per-replication protocol state to
+    carry — the window schedule is shared by contract
+    (:class:`~repro.protocols.base.WindowBatchState`) — so compaction only
+    touches the counters.
+    """
+
+    def __init__(self, k: int, reps: int) -> None:
+        self.orig = np.arange(reps)
+        self.remaining = np.full(reps, k, dtype=np.int64)
+        self.successes = np.zeros(reps, dtype=np.int64)
+        self.collisions = np.zeros(reps, dtype=np.int64)
+        self.silences = np.zeros(reps, dtype=np.int64)
+        self.windows = np.zeros(reps, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        return int(self.orig.size)
+
+    def retire(
+        self,
+        mask: np.ndarray,
+        out: _WindowBatchAccumulator,
+        solved: bool,
+        slots: np.ndarray,
+    ) -> None:
+        """Write final stats for the masked replications and drop them.
+
+        ``slots`` is the per-live-replication total slot count at retirement
+        (the truncated end of the finishing window for solved runs, the cap
+        boundary for unsolved ones).
+        """
+        idx = self.orig[mask]
+        out.solved[idx] = solved
+        out.makespan[idx] = slots[mask] if solved else 0
+        out.slots[idx] = slots[mask]
+        out.successes[idx] = self.successes[mask]
+        out.collisions[idx] = self.collisions[mask]
+        out.silences[idx] = self.silences[mask]
+        out.windows[idx] = self.windows[mask]
+        keep = ~mask
+        self.orig = self.orig[keep]
+        self.remaining = self.remaining[keep]
+        self.successes = self.successes[keep]
+        self.collisions = self.collisions[keep]
+        self.silences = self.silences[keep]
+        self.windows = self.windows[keep]
 
 
 class _ChunkedCellDraws:
@@ -158,8 +427,8 @@ class _ChunkedCellDraws:
 class _FusedLiveBatch:
     """The still-running rows of a fused fair group: counters + protocol state.
 
-    Mirrors :class:`repro.engine.batch_engine._LiveBatch`, with the network
-    size and the slot cap carried per row (rows come from cells with
+    Like :class:`_LiveBatch`, but with the network size and the slot cap
+    carried per row (rows come from cells with
     different k).  The kernel is dispatch-overhead bound, so the per-slot
     bookkeeping is collapsed to a single counter: ``under`` counts the slots
     whose uniform draw fell below the silence threshold (successes +
@@ -211,14 +480,12 @@ class MegaFairEngine:
 
     name = "mega"
 
-    #: Mega-batch engine for fair protocols on the paper's channel.  Batched
-    #: (it can serve one cell through ``simulate_batch``) *and* fusing; the
-    #: registry's ``batch_engine_for`` auto path skips fusing engines, so it
-    #: is reached only via ``fused_engine_for`` or an explicit selector.
+    #: The batched engine for fair protocols on the paper's channel: no
+    #: traces (outcomes are classified in bulk), no arrivals (slot-0 starts
+    #: assumed).  Eligibility of a *specific* protocol is :meth:`supports`.
     capabilities = EngineCapabilities(
         protocol_kinds=frozenset({"fair"}),
         batched=True,
-        fuses_cells=True,
         cost_rank=40,
     )
 
@@ -229,20 +496,18 @@ class MegaFairEngine:
     # ------------------------------------------------------------ eligibility
     @classmethod
     def supports(cls, protocol: Protocol) -> bool:
-        """Whether ``protocol``'s cells can be fused by this engine.
+        """Whether ``protocol``'s cells can be simulated by this engine.
 
-        Requires the fair kind, the fair-engine state contract, a *per-row*
-        fused kernel (:meth:`FairProtocol.make_fused_batch_state`) and a
-        probability that actually varies between receptions — protocols
-        declaring ``probability_constant_between_receptions`` (slotted
-        ALOHA) are excluded because the per-cell batch engine's geometric
-        silence skipping beats any lockstep kernel for them.
+        The per-protocol half of eligibility, layered by the registry's
+        :func:`~repro.engine.registry.batch_engine_for` on top of the
+        declared capabilities: the fair kind, the fair-engine state contract
+        and a *per-row* kernel
+        (:meth:`FairProtocol.make_fused_batch_state`).  A fair protocol
+        without one silently takes the per-run path in sweeps.
         """
         if getattr(protocol, "protocol_kind", "generic") not in cls.capabilities.protocol_kinds:
             return False
         if protocol.state_depends_on_own_transmission:
-            return False
-        if protocol.probability_constant_between_receptions:
             return False
         return type(protocol).make_fused_batch_state([protocol.spawn()], [1]) is not None
 
@@ -291,7 +556,10 @@ class MegaFairEngine:
 
         Returns one result list per cell (ordered like ``cells``, one
         :class:`SimulationResult` per seed).  Each cell's results are
-        bit-identical regardless of the group's composition.
+        bit-identical regardless of the group's composition.  Protocols
+        declaring ``probability_constant_between_receptions`` run cell by
+        cell through the geometric silence-skipping loop instead of the
+        lockstep pass.
         """
         _check_cells(cells, type(self).__name__)
         prototypes = []
@@ -315,22 +583,27 @@ class MegaFairEngine:
             )
 
         counts = [len(cell.seeds) for cell in cells]
-        state = type(prototypes[0]).make_fused_batch_state(prototypes, counts)
-        if state is None:  # pragma: no cover - guarded by supports()
-            raise ValueError(
-                f"{type(prototypes[0]).__name__} provides no fused batch state"
-            )
-        row_cell = np.repeat(np.arange(len(cells)), counts)
-        ks = np.repeat([cell.k for cell in cells], counts)
-        caps = np.repeat([cell.max_slots for cell in cells], counts)
+        protocol_class = type(prototypes[0])
         generators = [
             np.random.default_rng(np.random.SeedSequence(list(cell.seeds))) for cell in cells
         ]
-
-        rows = int(row_cell.size)
-        live = _FusedLiveBatch(ks, caps, state)
+        rows = sum(counts)
         out = _BatchAccumulator.empty(rows)
-        iterations = self._run_lockstep(live, out, generators, row_cell)
+        if protocol_class.probability_constant_between_receptions:
+            iterations = 0
+            offset = 0
+            for cell, prototype, reps, rng in zip(cells, prototypes, counts, generators):
+                state = protocol_class.make_fused_batch_state([prototype], [reps])
+                live_cell = _LiveBatch(cell.k, reps, state, offset=offset)
+                iterations += _run_skipping(live_cell, out, cell.max_slots, rng)
+                offset += reps
+        else:
+            state = protocol_class.make_fused_batch_state(prototypes, counts)
+            row_cell = np.repeat(np.arange(len(cells)), counts)
+            ks = np.repeat([cell.k for cell in cells], counts)
+            caps = np.repeat([cell.max_slots for cell in cells], counts)
+            live = _FusedLiveBatch(ks, caps, state)
+            iterations = self._run_lockstep(live, out, generators, row_cell)
         _M_ROWS.labels(engine=self.name).inc(rows)
         _M_RETIRED.labels(engine=self.name).inc(rows)
         _M_KERNEL.labels(engine=self.name).inc(iterations)
@@ -369,11 +642,11 @@ class MegaFairEngine:
     ) -> int:
         """One masked kernel pass per slot with per-row retirement.
 
-        Identical slot semantics to ``BatchFairEngine._run_lockstep`` — the
-        same classification thresholds (``draw < P(success)`` then
-        ``< P(success) + P(silence)``), the same per-slot feedback — but
-        organised around the fact that on a few dozen rows every numpy
-        dispatch costs as much as the arithmetic:
+        Classifies each row's slot from one uniform draw against the
+        thresholds ``P(success)`` and ``P(success) + P(silence)`` of the
+        ``Binomial(m, p)`` slot outcome, then feeds the receptions back to
+        the protocol state.  The loop is organised around the fact that on a
+        few dozen rows every numpy dispatch costs as much as the arithmetic:
 
         * caps are *events*, not per-slot checks — the distinct cap values
           are visited in ascending order and the capped-row pass runs only
@@ -542,30 +815,27 @@ class MegaWindowEngine:
 
     name = "mega-window"
 
-    #: Mega-batch engine for windowed protocols on the paper's channel; see
+    #: The batched engine for windowed protocols on the paper's channel; see
     #: :class:`MegaFairEngine` for the selection rules it shares.
     capabilities = EngineCapabilities(
         protocol_kinds=frozenset({"windowed"}),
         batched=True,
-        fuses_cells=True,
         cost_rank=40,
     )
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
         self.channel = check_engine_channel(type(self), channel)
         self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
-        # The occupancy samplers (saturated shortcut, multinomial rows, ball
-        # throwing) are borrowed verbatim from the per-cell windowed batch
-        # engine, which keeps the two engines' draw sequences — and therefore
-        # their per-cell results — bit-identical.
-        self._inner = BatchWindowEngine(channel=channel, max_slots_factor=max_slots_factor)
 
     # ------------------------------------------------------------ eligibility
     @classmethod
     def supports(cls, protocol: Protocol) -> bool:
-        """Whether ``protocol``'s cells can be fused: windowed kind, a shared
-        window schedule kernel *and* a declared schedule identity
-        (:meth:`WindowedProtocol.fused_schedule_key`)."""
+        """Whether ``protocol``'s cells can be simulated: windowed kind, a
+        shared window schedule
+        (:meth:`WindowedProtocol.make_window_batch_state`, i.e. a
+        feedback-oblivious schedule) *and* a declared schedule identity
+        (:meth:`WindowedProtocol.fused_schedule_key`).  A windowed protocol
+        without them silently takes the per-run path in sweeps."""
         if getattr(protocol, "protocol_kind", "generic") not in cls.capabilities.protocol_kinds:
             return False
         if protocol.make_window_batch_state(1) is None:
@@ -617,10 +887,16 @@ class MegaWindowEngine:
         """Simulate every cell of the group against one shared window schedule.
 
         Returns one result list per cell (ordered like ``cells``).  Each
-        cell consumes its own random stream in exactly the order the
-        per-cell :class:`BatchWindowEngine` would, so per-cell results are
-        bit-identical to it — and therefore independent of the group's
+        cell consumes its own random stream, window by window, exactly as it
+        would alone, so per-cell results are independent of the group's
         composition.
+
+        Occupancy sampling is adaptive in the saturation ratio ``m/w``
+        (balls per bin) — see :meth:`_saturated` and :meth:`_occupancy`:
+        saturated windows (every bin surely holds two or more balls) are
+        emitted without draws, narrow windows are sampled as multinomial
+        rows, and wide delivery windows throw their balls explicitly in
+        row chunks bounded by :data:`_MAX_WINDOW_CELLS`.
         """
         _check_cells(cells, type(self).__name__)
         keys = set()
@@ -684,6 +960,107 @@ class MegaWindowEngine:
         return results
 
     # -------------------------------------------------------------- internals
+    @staticmethod
+    def _saturated(length: int, m_min: int) -> bool:
+        """Whether every bin surely holds >= 2 balls (see :data:`_SATURATED_BOUND`).
+
+        Evaluates the exact union bound over the ``length`` bins at the
+        *smallest* live replication's ball count (the bound is decreasing in
+        ``m``, so it covers every row).  ``length == 1`` with ``m >= 2`` is
+        the degenerate certain collision.
+        """
+        if m_min < 2 * length:  # deliveries plainly possible; skip the math
+            return False
+        if length == 1:
+            return m_min >= 2
+        log_keep_out = math.log1p(-1.0 / length)  # log P(one ball misses a bin)
+        p_empty = math.exp(m_min * log_keep_out)
+        p_singleton = (m_min / length) * math.exp((m_min - 1) * log_keep_out)
+        return length * (p_empty + p_singleton) < _SATURATED_BOUND
+
+    @staticmethod
+    def _occupancy(
+        rng: np.random.Generator, remaining: np.ndarray, length: int
+    ) -> np.ndarray:
+        """Sample the (rows × length) multinomial occupancy matrix.
+
+        Narrow windows (many balls per bin) sample each row's bin counts
+        directly — O(length) binomial draws per replication; wide windows
+        throw the balls explicitly — one bounded draw per ball in the
+        narrowest sufficient dtype, offset per row so one ``bincount``
+        builds the whole matrix.
+        """
+        live = remaining.size
+        if length * _MULTINOMIAL_RATIO < int(remaining.mean()):
+            _M_OCCUPANCY.labels(mode="multinomial").inc()
+            return rng.multinomial(remaining, np.full(length, 1.0 / length))
+        _M_OCCUPANCY.labels(mode="ball-throw").inc()
+        if length <= np.iinfo(np.uint16).max:
+            dtype = np.uint16
+        elif length <= np.iinfo(np.uint32).max:
+            dtype = np.uint32
+        else:
+            dtype = np.int64
+        choices = rng.integers(0, length, size=int(remaining.sum()), dtype=dtype)
+        if live * length <= np.iinfo(np.int32).max:
+            rows = np.repeat(np.arange(live, dtype=np.int32), remaining)
+            keys = rows * np.int32(length) + choices.astype(np.int32, copy=False)
+        else:
+            rows = np.repeat(np.arange(live, dtype=np.int64), remaining)
+            keys = rows * length + choices
+        return np.bincount(keys, minlength=live * length).reshape(live, length)
+
+    @staticmethod
+    def _window_outcomes(
+        rng: np.random.Generator,
+        remaining: np.ndarray,
+        length: int,
+        window_start: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Classify one window for every live replication, in bounded memory.
+
+        Returns per-replication ``(delivered, collisions, silences,
+        end_slot)``; ``end_slot`` is the truncated end of the window for the
+        replications it finishes (their makespan) and the full window end for
+        everyone else.  Rows are processed in chunks bounded both in
+        occupancy cells (rows × window slots) and in thrown balls (rows ×
+        remaining messages) by :data:`_MAX_WINDOW_CELLS`, so neither the
+        occupancy matrix nor the ball-throw scratch arrays scale with the
+        network size.
+        """
+        live = remaining.size
+        delivered = np.empty(live, dtype=np.int64)
+        collisions = np.empty(live, dtype=np.int64)
+        silences = np.empty(live, dtype=np.int64)
+        end_slot = np.full(live, window_start + length, dtype=np.int64)
+        mean_balls = max(1, int(remaining.mean()))
+        chunk = max(1, min(_MAX_WINDOW_CELLS // length, _MAX_WINDOW_CELLS // mean_balls))
+        for start in range(0, live, chunk):
+            stop = min(start + chunk, live)
+            occupancy = MegaWindowEngine._occupancy(rng, remaining[start:stop], length)
+            singles = occupancy == 1
+            chunk_delivered = singles.sum(axis=1, dtype=np.int64)
+            occupied = np.count_nonzero(occupancy, axis=1)
+            chunk_collisions = occupied - chunk_delivered
+            chunk_silences = length - occupied
+            finishing = chunk_delivered == remaining[start:stop]
+            if finishing.any():
+                # Replications solved by this window stop at their final
+                # delivery: truncate the trailing slots (mirroring the
+                # per-run window engine) so counters agree with the
+                # node-level reference.
+                singles_f = singles[finishing]
+                occ_f = occupancy[finishing]
+                last = length - 1 - np.argmax(singles_f[:, ::-1], axis=1)
+                pick = np.arange(occ_f.shape[0])
+                chunk_collisions[finishing] = np.cumsum(occ_f >= 2, axis=1)[pick, last]
+                chunk_silences[finishing] = np.cumsum(occ_f == 0, axis=1)[pick, last]
+                end_slot[start:stop][finishing] = window_start + last + 1
+            delivered[start:stop] = chunk_delivered
+            collisions[start:stop] = chunk_collisions
+            silences[start:stop] = chunk_silences
+        return delivered, collisions, silences, end_slot
+
     def _run(
         self,
         cells: Sequence[FusedCell],
@@ -696,11 +1073,9 @@ class MegaWindowEngine:
 
         Every decision that touches randomness — the per-cell saturated
         shortcut and the occupancy sampling — is made per cell with the
-        cell's own generator, in the same order ``BatchWindowEngine._run``
-        makes it, so per-cell draw sequences match the per-cell engine
-        exactly.  Returns the number of windows iterated.
+        cell's own generator, so a cell's draw sequence does not depend on
+        its siblings.  Returns the number of windows iterated.
         """
-        inner = self._inner
         window_start = 0
         windows = 0
         while True:
@@ -733,11 +1108,12 @@ class MegaWindowEngine:
 
             for index in running:
                 live = lives[index]
-                if inner._saturated(length, int(live.remaining.min())):
+                if self._saturated(length, int(live.remaining.min())):
+                    _M_SATURATED.inc()
                     live.collisions += length
                     live.windows += 1
                     continue
-                delivered, collisions, silences, end_slot = inner._window_outcomes(
+                delivered, collisions, silences, end_slot = self._window_outcomes(
                     generators[index], live.remaining, length, window_start
                 )
                 finishing = delivered == live.remaining

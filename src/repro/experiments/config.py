@@ -73,7 +73,8 @@ class ProtocolSpec:
     label:
         The curve label used by the paper's figure/table.
     factory:
-        Callable mapping ``k`` to a fresh protocol instance.  Protocols that
+        Callable mapping ``k`` to a fresh protocol instance, for per-run
+        callers of :meth:`build` (e.g. the variance study).  Protocols that
         use no knowledge of ``k`` ignore the argument.  Optional when
         ``spec`` is given (the factory is then derived from the registry).
     analysis_ratio:
@@ -84,9 +85,9 @@ class ProtocolSpec:
         Text used in the Analysis column when ``analysis_ratio`` is ``None``.
     spec:
         Protocol spec string (e.g. ``"one-fail-adaptive(delta=2.72)"``).
-        When set, the sweep runner routes this curve through the declarative
-        :class:`~repro.scenarios.session.Session` — content-hashed, cacheable
-        and resumable; factory-only specs take the legacy in-memory path.
+        The sweep runner requires it: every cell runs through the
+        declarative :class:`~repro.scenarios.session.Session` —
+        content-hashed, cacheable and resumable.
     """
 
     key: str
@@ -198,21 +199,14 @@ class ExperimentConfig:
     serial behaviour, ``0`` means one worker per CPU.  Seeds are derived
     before dispatch, so the worker count never changes the results.
 
-    ``batch`` (default True) lets the runner group each eligible cell's
-    replications into one vectorised
-    :class:`~repro.engine.batch_engine.BatchFairEngine` call.  Batched sweeps
-    are deterministic in the seed but sample a *different* (distributionally
-    identical) set of runs than ``batch=False``, which replays the historical
-    per-run streams.
-
-    ``fuse`` (default True) additionally stacks all fusable cells of the
-    grid into cross-cell mega-batch kernels
+    ``batch`` (default True) lets the runner stack all batch-eligible cells
+    of the grid into cross-cell kernels of the batched engines
     (:class:`~repro.engine.megabatch.MegaFairEngine` /
     :class:`~repro.engine.megabatch.MegaWindowEngine`) — one fused kernel
-    pass per protocol family instead of one batch call per cell.  Requires
-    ``batch``; fused sweeps sample yet another (distributionally identical)
-    set of runs than per-cell batched ones, deterministic in the seed and
-    independent of which cells happen to fuse together.
+    pass per protocol family.  Batched sweeps are deterministic in the seed
+    and independent of which cells happen to fuse together, but sample a
+    *different* (distributionally identical) set of runs than
+    ``batch=False``, which replays the historical per-run streams.
     """
 
     k_values: Sequence[int] = field(default_factory=paper_k_values)
@@ -221,7 +215,6 @@ class ExperimentConfig:
     max_slots_factor: int = 10_000
     workers: int = 1
     batch: bool = True
-    fuse: bool = True
 
     def __post_init__(self) -> None:
         if not self.k_values:
@@ -243,5 +236,4 @@ class ExperimentConfig:
             "max_slots_factor": self.max_slots_factor,
             "workers": self.workers,
             "batch": self.batch,
-            "fuse": self.fuse,
         }

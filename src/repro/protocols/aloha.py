@@ -87,7 +87,7 @@ class SlottedAloha(FairProtocol):
     label: ClassVar[str] = "Slotted ALOHA (known k)"
     requires_knowledge: ClassVar[frozenset[str]] = frozenset({"k"})
     #: ``p = 1/(messages left)`` depends on nothing but the reception count,
-    #: so the batch engine may skip silent stretches geometrically.
+    #: so the batched engine may skip silent stretches geometrically.
     probability_constant_between_receptions: ClassVar[bool] = True
 
     def __init__(self, k: int, track_deliveries: bool = True) -> None:
@@ -115,11 +115,6 @@ class SlottedAloha(FairProtocol):
     def notify(self, observation: Observation) -> None:
         if self.track_deliveries and observation.received:
             self._remaining = max(self._remaining - 1, 1)
-
-    def make_batch_state(self, reps: int) -> _SlottedAlohaBatchState:
-        return _SlottedAlohaBatchState(
-            np.full(reps, self.k), np.full(reps, self.track_deliveries)
-        )
 
     @classmethod
     def make_fused_batch_state(

@@ -198,12 +198,12 @@ class Protocol(abc.ABC):
 class FairBatchState(abc.ABC):
     """Vectorised shared state of many lockstep replications of a fair protocol.
 
-    The batch engine (:class:`~repro.engine.batch_engine.BatchFairEngine`)
-    simulates all R replications of a (protocol, k) cell at once; for that it
-    needs the protocol's shared state as R-sized numpy arrays instead of one
-    Python object per replication.  Implementations must mirror the scalar
-    protocol *exactly*: the batch engine is validated distributionally against
-    the per-run fair engine, and any semantic drift here shows up there.
+    The batched engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
+    simulates all replications of a sweep's cells at once; for that it needs
+    the protocol's shared state as per-row numpy arrays instead of one Python
+    object per replication.  Implementations must mirror the scalar protocol
+    *exactly*: the batched engine is validated distributionally against the
+    per-run fair engine, and any semantic drift here shows up there.
 
     All methods operate on the *live* replications only — the engine compacts
     the batch as replications finish, and calls :meth:`compact` so the state
@@ -291,10 +291,10 @@ class FairProtocol(Protocol):
     #: the fair engine refuses them.
     state_depends_on_own_transmission: ClassVar[bool] = False
 
-    #: Batch-engine contract flag: True when the transmission probability is
+    #: Batched-engine contract flag: True when the transmission probability is
     #: independent of the slot index and the shared state changes *only* upon
     #: receiving a message.  Between two receptions every slot is then i.i.d.,
-    #: so the batch engine samples the length of each silent stretch from a
+    #: so the batched engine samples the length of each silent stretch from a
     #: geometric distribution instead of looping slot by slot.  Slotted ALOHA
     #: qualifies (``p = 1/remaining`` changes only on deliveries); the paper's
     #: adaptive protocols do not — One-fail Adaptive revises its density
@@ -307,17 +307,6 @@ class FairProtocol(Protocol):
     def transmission_probability(self, slot: int) -> float:
         """Probability with which each active station transmits in ``slot``."""
 
-    def make_batch_state(self, reps: int) -> FairBatchState | None:
-        """Return vectorised state for ``reps`` lockstep replications.
-
-        ``None`` (the default) opts the protocol out of the batch engine;
-        sweeps then fall back to one per-run simulation per seed.  Overriding
-        implementations must return a state whose evolution matches
-        :meth:`transmission_probability` / :meth:`notify` exactly, starting
-        from the *initial* (post-:meth:`reset`) state of this instance.
-        """
-        return None
-
     @classmethod
     def make_fused_batch_state(
         cls,
@@ -326,17 +315,19 @@ class FairProtocol(Protocol):
     ) -> FairBatchState | None:
         """Return vectorised state for several *fused* cells of this class.
 
-        The mega engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
+        The batched engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
         stacks every eligible cell of a sweep along the batch axis;
         ``protocols[i]`` (an instance of ``cls``, possibly with different
         constructor parameters) contributes ``counts[i]`` consecutive rows.
         The returned state must therefore carry the protocol parameters as
         *per-row* arrays, so that one kernel pass serves rows with different
-        parameterisations.  Rows belonging to one protocol instance must
-        evolve exactly as :meth:`make_batch_state` would evolve them.
+        parameterisations.  Each row must evolve exactly as
+        :meth:`transmission_probability` / :meth:`notify` evolve its
+        protocol instance, starting from the *initial* (post-:meth:`reset`)
+        state.
 
-        ``None`` (the default) opts the protocol class out of cross-cell
-        fusion; its cells then run one per-cell batch kernel each.
+        ``None`` (the default) opts the protocol class out of the batched
+        engine; sweeps then fall back to one per-run simulation per seed.
         """
         return None
 
@@ -352,9 +343,9 @@ class FairProtocol(Protocol):
 class WindowBatchState:
     """Window schedule shared by many lockstep replications of a windowed protocol.
 
-    The windowed batch engine
-    (:class:`~repro.engine.batch_window_engine.BatchWindowEngine`) simulates
-    all R replications of a (protocol, k) cell window by window; every
+    The windowed batched engine
+    (:class:`~repro.engine.megabatch.MegaWindowEngine`) simulates all R
+    replications of a (protocol, k) cell window by window; every
     replication traverses the *same* deterministic window schedule, so —
     unlike :class:`FairBatchState`, whose per-replication estimators evolve
     with each replication's own feedback — the whole batch's state is one
@@ -396,7 +387,7 @@ class WindowedProtocol(Protocol):
     def make_window_batch_state(self, reps: int) -> WindowBatchState | None:
         """Return the shared schedule state for ``reps`` lockstep replications.
 
-        ``None`` (the default) opts the protocol out of the windowed batch
+        ``None`` (the default) opts the protocol out of the windowed batched
         engine; sweeps then fall back to one per-run
         :class:`~repro.engine.window_engine.WindowEngine` simulation per
         seed.  Overriding implementations declare that the window schedule is
@@ -412,8 +403,8 @@ class WindowedProtocol(Protocol):
         """Hashable identity of the window schedule, for cross-cell fusion.
 
         Cells whose protocols report equal keys traverse *identical* window
-        schedules and may be simulated in lockstep by the mega window engine
-        (:class:`~repro.engine.megabatch.MegaWindowEngine`), which iterates
+        schedules and may be simulated in lockstep by the windowed batched
+        engine (:class:`~repro.engine.megabatch.MegaWindowEngine`), which iterates
         one shared schedule for the whole fused group.  The default derives
         the key from the protocol's registry name and its declared public
         parameters (:meth:`Protocol.describe`), which is exact for every

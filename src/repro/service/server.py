@@ -290,7 +290,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         url = urlsplit(self.path)
         path = url.path.rstrip("/")
-        length = int(self.headers.get("Content-Length", 0))
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot carry
+            # another request after this answer.
+            self.close_connection = True
+            self._error(400, f"bad Content-Length: {declared!r}")
+            return
         body = self.rfile.read(length)
         if path.startswith("/results/"):
             self._post_result(path.removeprefix("/results/"), body)

@@ -202,46 +202,6 @@ class TestFusedKernelContract:
         monkeypatch.setattr(protocols, "get_protocol_class", lambda name: protocol_cls)
         monkeypatch.setattr(protocols, "build_protocol", lambda name, k: protocol_cls())
 
-    def test_fair_batch_kernel_without_fused_hook_is_flagged(self, monkeypatch):
-        class HalfBatched:
-            name = "half-batched"
-            protocol_kind = "fair"
-
-            def make_batch_state(self, reps):
-                return object()  # has a per-cell kernel...
-
-            def spawn(self):
-                return HalfBatched()
-
-            @classmethod
-            def make_fused_batch_state(cls, prototypes, counts):
-                return None  # ...but no per-row hook
-
-        self._install(monkeypatch, HalfBatched)
-        findings = list(FusedKernelContractRule().check_project())
-        assert len(findings) == 1
-        assert "make_fused_batch_state" in findings[0].message
-
-    def test_fair_fused_hook_raising_is_flagged(self, monkeypatch):
-        class ExplodingFusion:
-            name = "exploding-fusion"
-            protocol_kind = "fair"
-
-            def make_batch_state(self, reps):
-                return object()
-
-            def spawn(self):
-                return ExplodingFusion()
-
-            @classmethod
-            def make_fused_batch_state(cls, prototypes, counts):
-                raise RuntimeError("rows not wired")
-
-        self._install(monkeypatch, ExplodingFusion)
-        findings = list(FusedKernelContractRule().check_project())
-        assert len(findings) == 1
-        assert "raises" in findings[0].message
-
     def test_window_kernel_without_schedule_key_is_flagged(self, monkeypatch):
         class KeylessWindow:
             name = "keyless-window"
@@ -258,13 +218,37 @@ class TestFusedKernelContract:
         assert len(findings) == 1
         assert "fused_schedule_key" in findings[0].message
 
+    def test_window_schedule_key_raising_is_flagged(self, monkeypatch):
+        class ExplodingKey:
+            name = "exploding-key"
+            protocol_kind = "windowed"
+
+            def make_window_batch_state(self, reps):
+                return object()
+
+            def fused_schedule_key(self):
+                raise RuntimeError("schedule not described")
+
+        self._install(monkeypatch, ExplodingKey)
+        findings = list(FusedKernelContractRule().check_project())
+        assert len(findings) == 1
+        assert "raises" in findings[0].message
+
     def test_protocol_without_batch_kernel_is_exempt(self, monkeypatch):
         class PerRunOnly:
             name = "per-run-only"
-            protocol_kind = "fair"
+            protocol_kind = "windowed"
 
-            def make_batch_state(self, reps):
-                return None  # no per-cell kernel, so nothing to fuse
+            def make_window_batch_state(self, reps):
+                return None  # no shared schedule, so nothing to fuse
 
         self._install(monkeypatch, PerRunOnly)
+        assert list(FusedKernelContractRule().check_project()) == []
+
+    def test_fair_protocols_are_not_probed(self, monkeypatch):
+        class FairWithoutKernel:
+            name = "fair-without-kernel"
+            protocol_kind = "fair"
+
+        self._install(monkeypatch, FairWithoutKernel)
         assert list(FusedKernelContractRule().check_project()) == []

@@ -1,14 +1,16 @@
-"""Distributional parity and eligibility tests for the batch engine.
+"""Distributional parity and eligibility tests for the fair batched engine.
 
-The batch engine's lockstep RNG cannot be bit-identical to the per-run fair
-engine's stream (all replications draw from one interleaved generator), so —
-exactly like the fair/window engines are validated against the node-level
-reference — it is validated *distributionally*: same makespan mean and
-quantiles within sampling tolerance, same solved rate at a binding slot cap.
+The batched engine (:class:`MegaFairEngine`) cannot be bit-identical to the
+per-run fair engine's stream (a cell's replications draw from one interleaved
+generator), so — exactly like the fair/window engines are validated against
+the node-level reference — it is validated *distributionally*: same makespan
+mean and quantiles within sampling tolerance, same solved rate at a binding
+slot cap.  Both of its kernels are covered: the lockstep pass (the adaptive
+protocols) and the geometric silence-skipping path (slotted ALOHA).
 
 The second half pins the sweep runner's eligibility contract: fair protocols
 with a vectorised state batch, everything else (non-fair protocols, fair
-protocols without a kernel, custom arrivals, explicit per-run engines)
+protocols without a kernel, arrival processes, explicit per-run engines)
 silently takes the per-run path.
 """
 
@@ -25,11 +27,13 @@ from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.batch_engine import BatchFairEngine
 from repro.engine.dispatch import pick_engine, simulate, simulate_batch
 from repro.engine.fair_engine import FairEngine
+from repro.engine.megabatch import MegaFairEngine
+from repro.engine.registry import batch_engine_for
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
+from repro.protocols import base as protocol_base
 from repro.protocols.aloha import SlottedAloha
 from repro.protocols.base import FairBatchState, FairProtocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
@@ -51,7 +55,7 @@ RUNS = 300
 
 def _batch_makespans(factory, k: int, runs: int = RUNS, root_seed: int = 1) -> list[int]:
     seeds = derive_seeds(root_seed, runs)
-    results = BatchFairEngine().simulate_batch(factory(k), k, seeds)
+    results = MegaFairEngine().simulate_batch(factory(k), k, seeds)
     assert all(result.solved for result in results)
     return [result.makespan for result in results]
 
@@ -94,7 +98,7 @@ class TestDistributionalParity:
     def test_solved_rate_at_slot_cap_matches_fair_engine(self, factory, k, cap):
         """With a binding cap both engines must censor the same fraction of runs."""
         runs = 400
-        batch = BatchFairEngine().simulate_batch(
+        batch = MegaFairEngine().simulate_batch(
             factory(k), k, derive_seeds(11, runs), max_slots=cap
         )
         engine = FairEngine()
@@ -118,10 +122,10 @@ class TestDistributionalParity:
 class TestBatchResultStructure:
     @pytest.mark.parametrize("factory,k", BATCHABLE_CASES)
     def test_solved_run_invariants(self, factory, k):
-        results = BatchFairEngine().simulate_batch(factory(k), k, derive_seeds(3, 50))
+        results = MegaFairEngine().simulate_batch(factory(k), k, derive_seeds(3, 50))
         for result in results:
             assert result.solved
-            assert result.engine == "batch"
+            assert result.engine == "mega"
             assert result.successes == k
             assert result.slots_simulated == result.makespan
             assert (
@@ -132,18 +136,18 @@ class TestBatchResultStructure:
 
     def test_results_in_seed_order(self):
         seeds = derive_seeds(9, 20)
-        results = BatchFairEngine().simulate_batch(OneFailAdaptive(), 30, seeds)
+        results = MegaFairEngine().simulate_batch(OneFailAdaptive(), 30, seeds)
         assert [result.seed for result in results] == seeds
 
     def test_deterministic_given_seeds(self):
         seeds = derive_seeds(5, 25)
-        first = BatchFairEngine().simulate_batch(OneFailAdaptive(), 40, seeds)
-        second = BatchFairEngine().simulate_batch(OneFailAdaptive(), 40, seeds)
+        first = MegaFairEngine().simulate_batch(OneFailAdaptive(), 40, seeds)
+        second = MegaFairEngine().simulate_batch(OneFailAdaptive(), 40, seeds)
         assert first == second
 
     def test_unsolved_at_cap_counts_every_slot(self):
         cap = 20
-        results = BatchFairEngine().simulate_batch(
+        results = MegaFairEngine().simulate_batch(
             OneFailAdaptive(), 100, derive_seeds(4, 30), max_slots=cap
         )
         for result in results:
@@ -156,14 +160,14 @@ class TestBatchResultStructure:
 
     def test_prototype_not_mutated(self):
         prototype = OneFailAdaptive()
-        BatchFairEngine().simulate_batch(prototype, 50, derive_seeds(0, 10))
+        MegaFairEngine().simulate_batch(prototype, 50, derive_seeds(0, 10))
         assert prototype.messages_received == 0
 
     def test_single_seed_batch_via_simulate(self):
-        result = BatchFairEngine().simulate(SlottedAloha(k=1), 1, seed=0)
+        result = MegaFairEngine().simulate(SlottedAloha(k=1), 1, seed=0)
         assert result.solved
         assert result.makespan == 1
-        assert result.engine == "batch"
+        assert result.engine == "mega"
 
     def test_silence_skipping_stuck_protocol_burns_to_cap(self):
         """p = 0 under the skip flag must censor at the cap, not loop forever."""
@@ -175,8 +179,8 @@ class TestBatchResultStructure:
             def probabilities(self, slot):
                 return np.zeros(self.reps)
 
-            def observe_receptions(self, slot, received):
-                pass
+            def observe_receptions(self, slot, received, received_any=None, received_rows=None):
+                return None
 
             def compact(self, keep):
                 self.reps = int(np.count_nonzero(keep))
@@ -194,10 +198,11 @@ class TestBatchResultStructure:
             def notify(self, observation):
                 pass
 
-            def make_batch_state(self, reps):
-                return _SilentState(reps)
+            @classmethod
+            def make_fused_batch_state(cls, protocols, counts):
+                return _SilentState(sum(counts))
 
-        results = BatchFairEngine().simulate_batch(
+        results = MegaFairEngine().simulate_batch(
             NeverTransmit(), 5, [1, 2, 3], max_slots=40
         )
         for result in results:
@@ -209,7 +214,7 @@ class TestBatchResultStructure:
 class TestEngineChecks:
     def test_rejects_non_fair_protocol(self):
         with pytest.raises(TypeError):
-            BatchFairEngine().simulate_batch(ExpBackonBackoff(), 10, [0, 1])
+            MegaFairEngine().simulate_batch(ExpBackonBackoff(), 10, [0, 1])
 
     def test_rejects_fair_protocol_without_kernel(self):
         class PlainFair(FairProtocol):
@@ -224,34 +229,34 @@ class TestEngineChecks:
             def notify(self, observation):
                 pass
 
-        with pytest.raises(ValueError, match="vectorised batch state"):
-            BatchFairEngine().simulate_batch(PlainFair(), 10, [0, 1])
-        assert not BatchFairEngine.supports(PlainFair())
+        with pytest.raises(ValueError, match="fused kernel"):
+            MegaFairEngine().simulate_batch(PlainFair(), 10, [0, 1])
+        assert not MegaFairEngine.supports(PlainFair())
 
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ValueError):
-            BatchFairEngine().simulate_batch(OneFailAdaptive(), 10, [])
+            MegaFairEngine().simulate_batch(OneFailAdaptive(), 10, [])
 
     def test_rejects_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            BatchFairEngine().simulate(OneFailAdaptive(), 10, seed=0, trace=ExecutionTrace())
+            MegaFairEngine().simulate(OneFailAdaptive(), 10, seed=0, trace=ExecutionTrace())
 
     def test_requires_paper_channel(self):
         with pytest.raises(ValueError):
-            BatchFairEngine(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
+            MegaFairEngine(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
         with pytest.raises(ValueError):
-            BatchFairEngine(channel=ChannelModel(acknowledgements=False))
+            MegaFairEngine(channel=ChannelModel(acknowledgements=False))
 
     def test_supports_covers_the_suite(self):
-        assert BatchFairEngine.supports(OneFailAdaptive())
-        assert BatchFairEngine.supports(SlottedAloha(k=10))
-        assert BatchFairEngine.supports(LogFailsAdaptive.for_k(10))
-        assert not BatchFairEngine.supports(ExpBackonBackoff())
+        assert MegaFairEngine.supports(OneFailAdaptive())
+        assert MegaFairEngine.supports(SlottedAloha(k=10))
+        assert MegaFairEngine.supports(LogFailsAdaptive.for_k(10))
+        assert not MegaFairEngine.supports(ExpBackonBackoff())
 
 
 class TestDispatch:
-    def test_pick_engine_batch(self):
-        assert isinstance(pick_engine(OneFailAdaptive(), engine="batch"), BatchFairEngine)
+    def test_pick_engine_batched(self):
+        assert isinstance(pick_engine(OneFailAdaptive(), engine="mega"), MegaFairEngine)
 
     def test_auto_still_prefers_fair_engine_for_single_runs(self):
         assert isinstance(pick_engine(OneFailAdaptive()), FairEngine)
@@ -260,18 +265,22 @@ class TestDispatch:
     def test_batch_engine_rejected_with_arrivals(self):
         with pytest.raises(ValueError):
             pick_engine(
-                OneFailAdaptive(), engine="batch", arrivals=PoissonArrival(k=10, rate=0.5)
+                OneFailAdaptive(), engine="mega", arrivals=PoissonArrival(k=10, rate=0.5)
             )
 
     def test_simulate_front_door_with_batch_engine(self):
-        result = simulate(OneFailAdaptive(), k=30, seed=1, engine="batch")
+        result = simulate(OneFailAdaptive(), k=30, seed=1, engine="mega")
         assert result.solved
-        assert result.engine == "batch"
+        assert result.engine == "mega"
 
     def test_simulate_batch_front_door(self):
         results = simulate_batch(OneFailAdaptive(), 30, [0, 1, 2])
         assert len(results) == 3
-        assert all(result.engine == "batch" for result in results)
+        assert all(result.engine == "mega" for result in results)
+
+    def test_simulate_batch_routes_aloha_to_the_skipping_path(self):
+        results = simulate_batch(SlottedAloha(k=30), 30, [0, 1, 2])
+        assert all(result.engine == "mega" and result.solved for result in results)
 
 
 def _sweep_config(**overrides) -> ExperimentConfig:
@@ -280,89 +289,92 @@ def _sweep_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+class _PlainFair(FairProtocol):
+    """A fair protocol with no vectorised kernel (ALOHA without a batch state)."""
+
+    name: ClassVar[str] = "test-sweep-plain-fair"
+
+    def reset(self):
+        self._remaining = 40
+
+    def transmission_probability(self, slot):
+        return 1.0 / max(self._remaining, 1)
+
+    def notify(self, observation):
+        if observation.received:
+            self._remaining = max(self._remaining - 1, 1)
+
+
+def _spec(key: str, spec: str) -> ProtocolSpec:
+    return ProtocolSpec(key=key, label=key.upper(), spec=spec)
+
+
 class TestSweepEligibility:
     def test_eligible_cell_batches_by_default(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())
-        sweep = run_sweep([spec], _sweep_config())
+        sweep = run_sweep([_spec("ofa", "one-fail-adaptive")], _sweep_config())
         cell = sweep.cell("ofa", 40)
         assert len(cell.results) == 4
-        assert all(result.engine == "batch" for result in cell.results)
+        assert all(result.engine == "mega" for result in cell.results)
         assert len({result.seed for result in cell.results}) == 4
 
     def test_batch_false_replays_per_run_path(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())
-        sweep = run_sweep([spec], _sweep_config(), batch=False)
+        sweep = run_sweep([_spec("ofa", "one-fail-adaptive")], _sweep_config(), batch=False)
         assert all(result.engine == "fair" for result in sweep.cell("ofa", 40).results)
 
     def test_config_batch_false_is_the_default_knob(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())
-        sweep = run_sweep([spec], _sweep_config(batch=False))
+        sweep = run_sweep([_spec("ofa", "one-fail-adaptive")], _sweep_config(batch=False))
         assert all(result.engine == "fair" for result in sweep.cell("ofa", 40).results)
 
     def test_non_fair_protocol_routes_to_its_own_batch_engine(self):
-        # Windowed protocols are no longer "ineligible": the registry routes
-        # them to the windowed batch engine instead of the fair one.
-        spec = ProtocolSpec(key="ebb", label="EBB", factory=lambda k: ExpBackonBackoff())
+        # Windowed protocols are not "ineligible": the registry routes them
+        # to the windowed batched engine instead of the fair one.
+        spec = _spec("ebb", "exp-backon-backoff")
         sweep = run_sweep([spec], _sweep_config())
-        assert all(result.engine == "batch-window" for result in sweep.cell("ebb", 40).results)
+        assert all(result.engine == "mega-window" for result in sweep.cell("ebb", 40).results)
         sweep = run_sweep([spec], _sweep_config(batch=False))
         assert all(result.engine == "window" for result in sweep.cell("ebb", 40).results)
 
-    def test_fair_protocol_without_kernel_falls_back(self):
-        class PlainFair(FairProtocol):
-            name: ClassVar[str] = "test-sweep-plain-fair"
-
-            def reset(self):
-                self._remaining = 40
-
-            def transmission_probability(self, slot):
-                return 1.0 / max(self._remaining, 1)
-
-            def notify(self, observation):
-                if observation.received:
-                    self._remaining = max(self._remaining - 1, 1)
-
-        spec = ProtocolSpec(key="plain", label="Plain", factory=lambda k: PlainFair())
-        sweep = run_sweep([spec], _sweep_config())
+    def test_fair_protocol_without_kernel_falls_back(self, monkeypatch):
+        monkeypatch.setitem(protocol_base._REGISTRY, _PlainFair.name, _PlainFair)
+        assert batch_engine_for(_PlainFair()) is None
+        sweep = run_sweep([_spec("plain", _PlainFair.name)], _sweep_config())
         assert all(result.engine == "fair" for result in sweep.cell("plain", 40).results)
 
-    def test_custom_arrivals_fall_back_to_slot_engine(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())
+    def test_arrival_processes_fall_back_to_slot_engine(self):
         sweep = run_sweep(
-            [spec],
+            [_spec("ofa", "one-fail-adaptive")],
             _sweep_config(k_values=[12], runs=2),
-            arrivals_factory=lambda k: PoissonArrival(k=k, rate=0.2),
+            arrivals="poisson(rate=0.2)",
         )
         assert all(result.engine == "slot" for result in sweep.cell("ofa", 12).results)
 
     def test_explicit_per_run_engine_disables_batching(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())
-        sweep = run_sweep([spec], _sweep_config(), engine="fair")
+        sweep = run_sweep([_spec("ofa", "one-fail-adaptive")], _sweep_config(), engine="fair")
         assert all(result.engine == "fair" for result in sweep.cell("ofa", 40).results)
 
-    def test_batched_sweep_deterministic_across_workers(self):
+    def test_factory_only_spec_rejected(self):
         spec = ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())
+        with pytest.raises(ValueError, match="no spec string"):
+            run_sweep([spec], _sweep_config())
+
+    def test_batched_sweep_deterministic_across_workers(self):
         config = _sweep_config(k_values=[20, 40], runs=3)
-        serial = run_sweep([spec], config, workers=1)
-        pooled = run_sweep([spec], config, workers=3)
+        serial = run_sweep([_spec("ofa", "one-fail-adaptive")], config, workers=1)
+        pooled = run_sweep([_spec("ofa", "one-fail-adaptive")], config, workers=3)
         for key in serial.cells:
             assert serial.cells[key].results == pooled.cells[key].results
 
     def test_progress_still_counts_per_run(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())
         calls = []
         run_sweep(
-            [spec],
+            [_spec("ofa", "one-fail-adaptive")],
             _sweep_config(runs=3),
             progress=lambda s, k, done, total: calls.append((s.key, k, done, total)),
         )
         assert calls == [("ofa", 40, 1, 3), ("ofa", 40, 2, 3), ("ofa", 40, 3, 3)]
 
     def test_mixed_suite_routes_per_protocol(self):
-        specs = [
-            ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive()),
-            ProtocolSpec(key="ebb", label="EBB", factory=lambda k: ExpBackonBackoff()),
-        ]
+        specs = [_spec("ofa", "one-fail-adaptive"), _spec("ebb", "exp-backon-backoff")]
         sweep = run_sweep(specs, _sweep_config())
-        assert all(result.engine == "batch" for result in sweep.cell("ofa", 40).results)
-        assert all(result.engine == "batch-window" for result in sweep.cell("ebb", 40).results)
+        assert all(result.engine == "mega" for result in sweep.cell("ofa", 40).results)
+        assert all(result.engine == "mega-window" for result in sweep.cell("ebb", 40).results)

@@ -1,12 +1,13 @@
-"""Distributional parity and eligibility tests for the windowed batch engine.
+"""Distributional parity and eligibility tests for the windowed batched engine.
 
-The windowed batch engine's lockstep RNG cannot be bit-identical to the
-per-run window engine's stream (all replications draw from one interleaved
-generator), so — exactly like the fair batch engine is validated against the
-per-run fair engine — it is validated *distributionally*: same makespan mean
-and quantiles within sampling tolerance, same solved rate at a binding slot
-cap.  These tests gate the new hot path for Exp Back-on/Back-off and every
-member of the monotone back-off family.
+The windowed batched engine (:class:`MegaWindowEngine`) cannot be
+bit-identical to the per-run window engine's stream (a cell's replications
+draw from one interleaved generator), so — exactly like the fair batched
+engine is validated against the per-run fair engine — it is validated
+*distributionally*: same makespan mean and quantiles within sampling
+tolerance, same solved rate at a binding slot cap.  These tests gate the hot
+path for Exp Back-on/Back-off and every member of the monotone back-off
+family.
 
 The second half pins the eligibility contract through the registry: windowed
 protocols with a shared schedule batch, windowed protocols without one (and
@@ -26,8 +27,8 @@ from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.batch_window_engine import BatchWindowEngine
 from repro.engine.dispatch import pick_engine, simulate, simulate_batch
+from repro.engine.megabatch import MegaWindowEngine
 from repro.engine.window_engine import WindowEngine
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
@@ -58,7 +59,7 @@ RUNS = 300
 
 def _batch_makespans(factory, k: int, runs: int = RUNS, root_seed: int = 1) -> list[int]:
     seeds = derive_seeds(root_seed, runs)
-    results = BatchWindowEngine().simulate_batch(factory(k), k, seeds)
+    results = MegaWindowEngine().simulate_batch(factory(k), k, seeds)
     assert all(result.solved for result in results)
     return [result.makespan for result in results]
 
@@ -103,7 +104,7 @@ class TestDistributionalParity:
     def test_solved_rate_at_slot_cap_matches_window_engine(self, factory, k, cap):
         """With a binding cap both engines must censor the same fraction of runs."""
         runs = 400
-        batch = BatchWindowEngine().simulate_batch(
+        batch = MegaWindowEngine().simulate_batch(
             factory(k), k, derive_seeds(11, runs), max_slots=cap
         )
         engine = WindowEngine()
@@ -131,10 +132,10 @@ class TestDistributionalParity:
 class TestBatchResultStructure:
     @pytest.mark.parametrize("factory,k", BATCHABLE_CASES)
     def test_solved_run_invariants(self, factory, k):
-        results = BatchWindowEngine().simulate_batch(factory(k), k, derive_seeds(3, 50))
+        results = MegaWindowEngine().simulate_batch(factory(k), k, derive_seeds(3, 50))
         for result in results:
             assert result.solved
-            assert result.engine == "batch-window"
+            assert result.engine == "mega-window"
             assert result.successes == k
             assert result.slots_simulated == result.makespan
             assert (
@@ -146,19 +147,19 @@ class TestBatchResultStructure:
 
     def test_results_in_seed_order(self):
         seeds = derive_seeds(9, 20)
-        results = BatchWindowEngine().simulate_batch(ExpBackonBackoff(), 30, seeds)
+        results = MegaWindowEngine().simulate_batch(ExpBackonBackoff(), 30, seeds)
         assert [result.seed for result in results] == seeds
 
     def test_deterministic_for_fixed_seed_tuple(self):
         seeds = derive_seeds(5, 25)
-        first = BatchWindowEngine().simulate_batch(ExpBackonBackoff(), 40, seeds)
-        second = BatchWindowEngine().simulate_batch(ExpBackonBackoff(), 40, seeds)
+        first = MegaWindowEngine().simulate_batch(ExpBackonBackoff(), 40, seeds)
+        second = MegaWindowEngine().simulate_batch(ExpBackonBackoff(), 40, seeds)
         assert first == second
 
     def test_single_run_simulate_api(self):
-        result = BatchWindowEngine().simulate(ExpBackonBackoff(), 30, seed=4)
+        result = MegaWindowEngine().simulate(ExpBackonBackoff(), 30, seed=4)
         assert result.solved
-        assert result.engine == "batch-window"
+        assert result.engine == "mega-window"
         assert result.metadata["batch_reps"] == 1
 
     def test_chunked_wide_windows_preserve_invariants(self, monkeypatch):
@@ -168,12 +169,12 @@ class TestBatchResultStructure:
         path; the results must stay structurally sound, deterministic, and
         distributionally in line with the unchunked engine.
         """
-        import repro.engine.batch_window_engine as module
+        import repro.engine.megabatch as module
 
         seeds = derive_seeds(21, 40)
         monkeypatch.setattr(module, "_MAX_WINDOW_CELLS", 64)
-        chunked = BatchWindowEngine().simulate_batch(ExpBackonBackoff(), 100, seeds)
-        again = BatchWindowEngine().simulate_batch(ExpBackonBackoff(), 100, seeds)
+        chunked = MegaWindowEngine().simulate_batch(ExpBackonBackoff(), 100, seeds)
+        again = MegaWindowEngine().simulate_batch(ExpBackonBackoff(), 100, seeds)
         assert chunked == again  # chunk boundaries are deterministic
         for result in chunked:
             assert result.solved
@@ -184,13 +185,13 @@ class TestBatchResultStructure:
                 == result.slots_simulated
             )
         monkeypatch.undo()
-        unchunked = BatchWindowEngine().simulate_batch(ExpBackonBackoff(), 100, derive_seeds(22, 40))
+        unchunked = MegaWindowEngine().simulate_batch(ExpBackonBackoff(), 100, derive_seeds(22, 40))
         chunked_mean = np.mean([result.makespan for result in chunked])
         unchunked_mean = np.mean([result.makespan for result in unchunked])
         assert chunked_mean == pytest.approx(unchunked_mean, rel=0.15)
 
     def test_unsolved_runs_count_every_slot(self):
-        results = BatchWindowEngine().simulate_batch(
+        results = MegaWindowEngine().simulate_batch(
             ExpBackonBackoff(), 1_000, derive_seeds(7, 10), max_slots=50
         )
         for result in results:
@@ -203,7 +204,7 @@ class TestBatchResultStructure:
 class TestEngineChecks:
     def test_rejects_non_windowed_protocol(self):
         with pytest.raises(TypeError):
-            BatchWindowEngine().simulate_batch(OneFailAdaptive(), 10, [0, 1])
+            MegaWindowEngine().simulate_batch(OneFailAdaptive(), 10, [0, 1])
 
     def test_rejects_windowed_protocol_without_schedule_state(self):
         class FeedbackWindowed(WindowedProtocol):
@@ -213,54 +214,54 @@ class TestEngineChecks:
                 while True:
                     yield 4
 
-        with pytest.raises(ValueError, match="shared window schedule"):
-            BatchWindowEngine().simulate_batch(FeedbackWindowed(), 10, [0, 1])
-        assert not BatchWindowEngine.supports(FeedbackWindowed())
+        with pytest.raises(ValueError, match="window schedule"):
+            MegaWindowEngine().simulate_batch(FeedbackWindowed(), 10, [0, 1])
+        assert not MegaWindowEngine.supports(FeedbackWindowed())
 
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ValueError):
-            BatchWindowEngine().simulate_batch(ExpBackonBackoff(), 10, [])
+            MegaWindowEngine().simulate_batch(ExpBackonBackoff(), 10, [])
 
     def test_rejects_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            BatchWindowEngine().simulate(ExpBackonBackoff(), 10, seed=0, trace=ExecutionTrace())
+            MegaWindowEngine().simulate(ExpBackonBackoff(), 10, seed=0, trace=ExecutionTrace())
 
     def test_requires_paper_channel(self):
         with pytest.raises(ValueError):
-            BatchWindowEngine(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
+            MegaWindowEngine(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
         with pytest.raises(ValueError):
-            BatchWindowEngine(channel=ChannelModel(acknowledgements=False))
+            MegaWindowEngine(channel=ChannelModel(acknowledgements=False))
 
     def test_supports_covers_the_windowed_suite(self):
-        assert BatchWindowEngine.supports(ExpBackonBackoff())
-        assert BatchWindowEngine.supports(ExponentialBackoff())
-        assert BatchWindowEngine.supports(PolynomialBackoff())
-        assert BatchWindowEngine.supports(LogBackoff())
-        assert BatchWindowEngine.supports(LogLogIteratedBackoff())
-        assert not BatchWindowEngine.supports(OneFailAdaptive())
+        assert MegaWindowEngine.supports(ExpBackonBackoff())
+        assert MegaWindowEngine.supports(ExponentialBackoff())
+        assert MegaWindowEngine.supports(PolynomialBackoff())
+        assert MegaWindowEngine.supports(LogBackoff())
+        assert MegaWindowEngine.supports(LogLogIteratedBackoff())
+        assert not MegaWindowEngine.supports(OneFailAdaptive())
 
 
 class TestDispatch:
     def test_pick_engine_batch_window(self):
-        assert isinstance(pick_engine(ExpBackonBackoff(), engine="batch-window"), BatchWindowEngine)
+        assert isinstance(pick_engine(ExpBackonBackoff(), engine="mega-window"), MegaWindowEngine)
 
     def test_auto_still_prefers_window_engine_for_single_runs(self):
         assert isinstance(pick_engine(ExpBackonBackoff()), WindowEngine)
         assert simulate(ExpBackonBackoff(), k=30, seed=1).engine == "window"
 
     def test_simulate_front_door_with_batch_window_engine(self):
-        result = simulate(ExpBackonBackoff(), k=30, seed=1, engine="batch-window")
+        result = simulate(ExpBackonBackoff(), k=30, seed=1, engine="mega-window")
         assert result.solved
-        assert result.engine == "batch-window"
+        assert result.engine == "mega-window"
 
     def test_simulate_batch_front_door_routes_windowed_protocols(self):
         results = simulate_batch(ExpBackonBackoff(), 30, [0, 1, 2])
         assert len(results) == 3
-        assert all(result.engine == "batch-window" for result in results)
+        assert all(result.engine == "mega-window" for result in results)
 
     def test_fair_engine_selector_rejected_for_windowed_protocol(self):
         with pytest.raises(ValueError, match="protocol kinds"):
-            pick_engine(ExpBackonBackoff(), engine="batch")
+            pick_engine(ExpBackonBackoff(), engine="mega")
 
     def test_simulate_batch_diagnoses_selector_problems(self):
         # A per-run selector is a selector problem, not a kernel problem.
@@ -273,27 +274,27 @@ class TestDispatch:
 
 class TestSweepAndSessionRouting:
     def test_sweep_batches_windowed_cells(self):
-        spec = ProtocolSpec(key="ebb", label="EBB", factory=lambda k: ExpBackonBackoff())
+        spec = ProtocolSpec(key="ebb", label="EBB", spec="exp-backon-backoff")
         config = ExperimentConfig(k_values=[40], runs=4, seed=17)
         sweep = run_sweep([spec], config)
-        assert all(result.engine == "batch-window" for result in sweep.cell("ebb", 40).results)
+        assert all(result.engine == "mega-window" for result in sweep.cell("ebb", 40).results)
 
     def test_sweep_batch_false_replays_per_run_streams(self):
-        spec = ProtocolSpec(key="ebb", label="EBB", factory=lambda k: ExpBackonBackoff())
+        spec = ProtocolSpec(key="ebb", label="EBB", spec="exp-backon-backoff")
         config = ExperimentConfig(k_values=[40], runs=4, seed=17, batch=False)
         sweep = run_sweep([spec], config)
         assert all(result.engine == "window" for result in sweep.cell("ebb", 40).results)
 
-    def test_session_explicit_batch_window_engine(self):
+    def test_session_explicit_batched_engine(self):
         scenario = Scenario(protocol="exp-backon-backoff", k=50, replications=3, seed=5,
-                            engine="batch-window")
-        # An explicitly selected batch engine batches even in a batch=False
-        # session (same contract as engine="batch" for fair cells).
+                            engine="mega-window")
+        # An explicitly selected batched engine batches even in a
+        # batch=False session (same contract as engine="mega" for fair cells).
         result_set = Session(batch=False).run(scenario)
-        assert result_set.engine_used == "batch-window"
+        assert result_set.engine_used == "mega-window"
         assert result_set.results[0].metadata["batch_reps"] == 3
 
-    def test_session_cached_batch_window_cells_reused(self, tmp_path):
+    def test_session_cached_batched_cells_reused(self, tmp_path):
         scenario = Scenario(protocol="exp-backon-backoff", k=50, replications=4, seed=5)
         first = Session(store_dir=tmp_path).run(scenario)
         second = Session(store_dir=tmp_path).run(scenario)
@@ -305,7 +306,7 @@ class TestSweepAndSessionRouting:
         scenario = Scenario(protocol="exp-backon-backoff", k=50, replications=4, seed=5)
         Session(store_dir=tmp_path).run(scenario)
         # Cached-run reuse is keyed by engine + batch_reps: a per-run session
-        # must not mix batch-window samples into its result set.
+        # must not mix batched samples into its result set.
         per_run = Session(store_dir=tmp_path, batch=False).run(scenario)
         assert per_run.engine_used == "window"
         assert per_run.new_runs == 4

@@ -116,43 +116,47 @@ class TestCommandLineEntryPoints:
 
 
 class TestSessionPathParity:
-    """The Session-routed sweep must reproduce the legacy factory path exactly.
+    """The Session-routed sweep reproduces direct per-run simulation exactly.
 
-    The comparisons run with cross-cell fusion disabled: factory-only specs
-    take the legacy per-cell path by construction, and fused fair cells are
-    distributionally — not bit — identical to per-cell batch runs (that
-    parity is pinned in tests/engine/test_megabatch.py).
+    With batching off, every cell's replication ``i`` is one
+    :func:`~repro.engine.dispatch.simulate` call with the ``i``-th seed
+    derived from the cell's root seed — the sweep's historical definition.
+    Batched cells are distributionally (not bit-) identical to these runs;
+    that parity is pinned in tests/engine/test_batch_engine.py.
     """
 
-    def legacy_suite(self):
-        """The paper suite expressed as factory-only specs (pre-scenario form)."""
-        from repro.experiments.config import ProtocolSpec
-        session_suite = paper_protocol_suite()
-        return [
-            ProtocolSpec(
-                key=spec.key,
-                label=spec.label,
-                factory=(lambda k, s=spec.spec: __import__("repro").build_protocol(s, k)),
-                analysis_ratio=spec.analysis_ratio,
-                analysis_note=spec.analysis_note,
-            )
-            for spec in session_suite
-        ]
+    @staticmethod
+    def direct_mean_makespans(config: ExperimentConfig) -> dict[str, list[float]]:
+        from repro import build_protocol, simulate
+        from repro.experiments.runner import cell_seed_root
+        from repro.util.rng import derive_seeds
 
-    def test_figure1_identical_through_session(self):
-        no_fuse = ExperimentConfig(k_values=[10, 100], runs=2, seed=5, fuse=False)
-        session_path = reproduce_figure1(config=no_fuse)
-        legacy_path = reproduce_figure1(config=no_fuse, specs=self.legacy_suite())
-        assert session_path.series == legacy_path.series
+        means: dict[str, list[float]] = {}
+        for spec_index, spec in enumerate(paper_protocol_suite()):
+            for k_index, k in enumerate(config.k_values):
+                seeds = derive_seeds(cell_seed_root(config, spec_index, k_index), config.runs)
+                makespans = [
+                    simulate(build_protocol(spec.spec, k), k, seed=seed).makespan
+                    for seed in seeds
+                ]
+                means.setdefault(spec.key, []).append(sum(makespans) / len(makespans))
+        return means
 
-    def test_table1_identical_through_session(self):
-        no_fuse = ExperimentConfig(k_values=[10, 100], runs=2, seed=5, fuse=False)
-        session_path = reproduce_table1(config=no_fuse)
-        legacy_path = reproduce_table1(config=no_fuse, specs=self.legacy_suite())
+    def test_figure1_identical_to_direct_runs(self):
+        per_run = ExperimentConfig(k_values=[10, 100], runs=2, seed=5, batch=False)
+        session_path = reproduce_figure1(config=per_run)
+        direct = self.direct_mean_makespans(per_run)
+        for key, (_, means) in session_path.series.items():
+            assert means == pytest.approx(direct[key], rel=1e-12)
+
+    def test_table1_identical_to_direct_runs(self):
+        per_run = ExperimentConfig(k_values=[10, 100], runs=2, seed=5, batch=False)
+        session_path = reproduce_table1(config=per_run)
+        direct = self.direct_mean_makespans(per_run)
         for spec in session_path.specs:
-            for k in no_fuse.k_values:
-                assert session_path.measured_ratio(spec.key, k) == legacy_path.measured_ratio(
-                    spec.key, k
+            for k, mean in zip(per_run.k_values, direct[spec.key]):
+                assert session_path.measured_ratio(spec.key, k) == pytest.approx(
+                    mean / k, rel=1e-12
                 )
 
     def test_workers_and_batch_flags_still_honoured(self, tiny_config):

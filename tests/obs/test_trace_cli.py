@@ -21,7 +21,7 @@ def trace_file(tmp_path):
     configure_tracing(path)
     try:
         with span("job.run", job="job-1"):
-            with span("engine.batch", engine="batch", k=64):
+            with span("engine.batch", engine="mega", k=64):
                 pass
             with span("store.append", runs=3):
                 pass

@@ -17,7 +17,7 @@ from repro.util.rng import derive_seeds
 class TestRegistries:
     def test_available_engines_covers_all(self):
         assert available_engines() == [
-            "auto", "batch", "batch-window", "fair", "mega", "mega-window", "slot", "window",
+            "auto", "fair", "mega", "mega-window", "slot", "window",
         ]
 
     def test_available_arrivals(self):
@@ -177,6 +177,12 @@ class TestScenarioValidation:
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             Scenario(protocol="one-fail-adaptive", k=10, engine="warp")
+
+    @pytest.mark.parametrize("engine", ["batch", "batch-window"])
+    def test_removed_per_cell_batch_selectors_list_the_valid_ones(self, engine):
+        with pytest.raises(ValueError, match="unknown engine") as excinfo:
+            Scenario(protocol="one-fail-adaptive", k=10, engine=engine)
+        assert "'mega'" in str(excinfo.value) and "'mega-window'" in str(excinfo.value)
 
     def test_unknown_seed_policy(self):
         with pytest.raises(ValueError):

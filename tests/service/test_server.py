@@ -151,6 +151,28 @@ class TestErrors:
         assert response.status == 404
         connection.close()
 
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, server, client, declared):
+        # http.client validates its own headers, so write the request bytes
+        # to a raw socket.
+        import socket
+
+        host, port = server.server_address[:2]
+        request = (
+            f"POST /scenarios HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {declared}\r\nContent-Type: text/plain\r\n\r\n{SPEC}"
+        ).encode("ascii")
+        with socket.create_connection((host, port), timeout=10) as connection:
+            connection.sendall(request)
+            reply = b""
+            while chunk := connection.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert declared in json.loads(body)["error"]
+        # The handler thread survived: the server keeps answering.
+        assert client.health()["status"] == "ok"
+
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._request("/nope")
